@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "middleware/markup.h"
+#include "middleware/translate.h"
 #include "sim/util.h"
 
 namespace mcs::core {
@@ -18,12 +18,10 @@ void BrowserClient::fetch(const std::string& url,
     FetchResult f;
     f.ok = r.ok;
     f.status = r.status;
-    f.raw = r.content;
+    f.raw = std::move(r.content);
     // Application payloads travel inside the translated markup; hand the
-    // app the text content.
-    const auto doc = middleware::parse_markup(
-        r.content, middleware::MarkupKind::kWml);
-    f.body = doc.root.inner_text();
+    // app the text content the browser already extracted.
+    f.body = std::move(r.text);
     f.latency = r.total_time;
     f.over_air_bytes = r.over_air_bytes;
     f.client_cpu = r.parse_time + r.render_time;
@@ -53,11 +51,10 @@ void DesktopClient::fetch(const std::string& url,
     if (resp.has_value()) {
       f.ok = resp->status == 200;
       f.status = resp->status;
-      f.raw = resp->body;
       // Desktop browsers read HTML; strip markup for the app layer too.
-      const auto doc = middleware::parse_markup(
-          resp->body, middleware::MarkupKind::kHtml);
-      f.body = doc.root.inner_text();
+      (void)middleware::scan_markup(resp->body, title_buf_, text_buf_);
+      f.body = text_buf_;
+      f.raw = std::move(resp->body);
       f.over_air_bytes = 0;
     }
     cb(std::move(f));

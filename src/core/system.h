@@ -58,6 +58,9 @@ class DesktopClient : public ClientDriver {
  private:
   host::HttpClient& http_;
   sim::Simulator& sim_;
+  // Reused scan buffers (title is unused on the desktop).
+  std::string title_buf_;
+  std::string text_buf_;
 };
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 #include "middleware/markup.h"
 
-#include <algorithm>
 
 #include "sim/arena.h"
 #include "sim/contract.h"
@@ -9,13 +8,6 @@
 namespace mcs::middleware {
 
 namespace {
-
-bool is_void_tag(const std::string& tag) {
-  static const char* kVoid[] = {"br", "img", "hr", "input", "meta",
-                                "link", "base", "area", "col"};
-  return std::any_of(std::begin(kVoid), std::end(kVoid),
-                     [&](const char* v) { return tag == v; });
-}
 
 bool is_raw_text_tag(const std::string& tag) {
   return tag == "script" || tag == "style";

@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -13,6 +14,14 @@ namespace mcs::middleware {
 enum class MarkupKind { kHtml, kWml, kChtml };
 
 const char* markup_kind_name(MarkupKind k);
+
+// Elements that serialize as "<tag/>" when they have no children (and never
+// push onto the parser's open-element stack).
+inline bool is_void_tag(std::string_view tag) {
+  return tag == "br" || tag == "img" || tag == "hr" || tag == "input" ||
+         tag == "meta" || tag == "link" || tag == "base" || tag == "area" ||
+         tag == "col";
+}
 
 // One node of a parsed document: an element (tag + attrs + children) or a
 // text node (tag empty, text set).

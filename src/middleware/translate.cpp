@@ -5,7 +5,8 @@
 // This file does the same work in one pass over arena-backed nodes whose
 // tags, attributes, and text are slices into the HTML source; the only heap
 // traffic left is the caller's reused output buffer and the recycled arena
-// chunks, both amortized to zero across requests.
+// chunks, both amortized to zero across requests. scan_markup() reuses the
+// same arena parser for the station's single read of a delivered page.
 //
 // Byte-exactness is the contract: every rule below is a line-for-line port
 // of the corresponding legacy rule (markup.cpp / adaptation.cpp), and the
@@ -60,24 +61,19 @@ Slice lower_slice(Arena& arena, Slice s) {
   return Slice{dst, s.size()};
 }
 
-// Arena-owned concatenation of up to three parts.
+// Arena-owned concatenation of up to three parts. Empty parts are skipped,
+// not copied: an empty Slice{} has a null data() that memcpy must not see.
 Slice arena_cat(Arena& arena, Slice a, Slice b, Slice c) {
   const std::size_t total = a.size() + b.size() + c.size();
   if (total == 0) return {};
   char* dst = arena.alloc_chars(total);
   char* p = dst;
-  std::memcpy(p, a.data(), a.size());
-  p += a.size();
-  std::memcpy(p, b.data(), b.size());
-  p += b.size();
-  std::memcpy(p, c.data(), c.size());
+  for (const Slice part : {a, b, c}) {
+    if (part.empty()) continue;
+    std::memcpy(p, part.data(), part.size());
+    p += part.size();
+  }
   return Slice{dst, total};
-}
-
-bool is_void_tag(Slice tag) {
-  return tag == "br" || tag == "img" || tag == "hr" || tag == "input" ||
-         tag == "meta" || tag == "link" || tag == "base" || tag == "area" ||
-         tag == "col";
 }
 
 bool is_raw_text_tag(Slice tag) { return tag == "script" || tag == "style"; }
@@ -380,6 +376,51 @@ class ViewParser {
   NodeStack stack_;
 };
 
+// Concatenated text of all descendant text nodes, mirroring
+// MarkupNode::inner_text(): a size pass, then one arena fill.
+std::size_t text_size(const VNode& n) {
+  std::size_t total = n.text.size();
+  for (const VNode* c = n.first; c != nullptr; c = c->next) {
+    total += text_size(*c);
+  }
+  return total;
+}
+
+void text_fill(const VNode& n, char*& dst) {
+  if (!n.text.empty()) {
+    std::memcpy(dst, n.text.data(), n.text.size());
+    dst += n.text.size();
+  }
+  for (const VNode* c = n.first; c != nullptr; c = c->next) {
+    text_fill(*c, dst);
+  }
+}
+
+Slice inner_text(Arena& arena, const VNode& n) {
+  const std::size_t total = text_size(n);
+  if (total == 0) return {};
+  char* buf = arena.alloc_chars(total);
+  char* p = buf;
+  text_fill(n, p);
+  MCS_INVARIANT(p == buf + total,
+                "inner_text fill diverged from its size pass");
+  return Slice{buf, total};
+}
+
+// Document title, mirroring MarkupDocument::title(): the first <title>'s
+// trimmed inner text, else a <card>'s title attribute, else empty.
+Slice doc_title(Arena& arena, const VNode* parsed) {
+  if (const VNode* t = find_first(parsed, "title"); t != nullptr) {
+    return trim_ws(inner_text(arena, *t));
+  }
+  if (const VNode* card = find_first(parsed, "card"); card != nullptr) {
+    if (const VAttr* v = find_attr(card, "title"); v != nullptr) {
+      return v->value;
+    }
+  }
+  return {};
+}
+
 // ---------------------------------------------------------------------------
 // Fused translation + adaptation. A port of markup.cpp's translate_node and
 // adaptation.cpp's adapt_node collapsed into one walk: every text node the
@@ -394,18 +435,6 @@ class Xlate {
       : arena_{arena}, cfg_{cfg}, wml_{wml} {}
 
   TranslateCounters counters;
-
-  // Slice holding the concatenated text of all descendant text nodes.
-  Slice inner_text(const VNode& n) {
-    const std::size_t total = text_size(n);
-    if (total == 0) return {};
-    char* buf = arena_.alloc_chars(total);
-    char* p = buf;
-    text_fill(n, p);
-    MCS_INVARIANT(p == buf + total,
-                  "inner_text fill diverged from its size pass");
-    return Slice{buf, total};
-  }
 
   void children(const VNode& from, VNode* to) {
     MCS_ASSERT(to != nullptr, "adapted children need a parent to land in");
@@ -565,24 +594,6 @@ class Xlate {
   }
 
  private:
-  static std::size_t text_size(const VNode& n) {
-    std::size_t total = n.text.size();
-    for (const VNode* c = n.first; c != nullptr; c = c->next) {
-      total += text_size(*c);
-    }
-    return total;
-  }
-
-  static void text_fill(const VNode& n, char*& dst) {
-    if (!n.text.empty()) {
-      std::memcpy(dst, n.text.data(), n.text.size());
-      dst += n.text.size();
-    }
-    for (const VNode* c = n.first; c != nullptr; c = c->next) {
-      text_fill(*c, dst);
-    }
-  }
-
   void emit_wrapped(const VNode& n, VNode* out, Slice tag) {
     VNode* el = new_element(arena_, tag);
     children(n, el);
@@ -601,7 +612,7 @@ class Xlate {
     std::size_t line_len = 0;
     for (const VNode* cell = row.first; cell != nullptr; cell = cell->next) {
       if (cell->tag != "td" && cell->tag != "th") continue;
-      const Slice text = trim_ws(inner_text(*cell));
+      const Slice text = trim_ws(inner_text(arena_, *cell));
       if (text.empty()) continue;
       line_len += (line_len != 0 ? 3 : 0) + text.size();  // " | " separators
     }
@@ -610,7 +621,7 @@ class Xlate {
     char* p = buf;
     for (const VNode* cell = row.first; cell != nullptr; cell = cell->next) {
       if (cell->tag != "td" && cell->tag != "th") continue;
-      const Slice text = trim_ws(inner_text(*cell));
+      const Slice text = trim_ws(inner_text(arena_, *cell));
       if (text.empty()) continue;
       if (p != buf) {
         std::memcpy(p, " | ", 3);
@@ -792,18 +803,24 @@ void wbxml_view(const VNode& n, BufWriter& w) {
   }
 }
 
-// Document title, mirroring MarkupDocument::title(): the first <title>'s
-// trimmed inner text, else a <card>'s title attribute, else empty.
-Slice doc_title(Xlate& x, const VNode* parsed) {
-  if (const VNode* t = find_first(parsed, "title"); t != nullptr) {
-    return trim_ws(x.inner_text(*t));
+// Text and element count of a parsed page in one walk: text nodes go to
+// `text` in document order (MarkupNode::inner_text of the root), elements
+// are counted as MarkupNode::element_count does (text nodes and the
+// synthetic root do not count).
+std::size_t scan_walk(const VNode& n, BufWriter& text) {
+  std::size_t elements = n.is_text() ? 0 : 1;
+  text.put(n.text);
+  for (const VNode* c = n.first; c != nullptr; c = c->next) {
+    elements += scan_walk(*c, text);
   }
-  if (const VNode* card = find_first(parsed, "card"); card != nullptr) {
-    if (const VAttr* v = find_attr(card, "title"); v != nullptr) {
-      return v->value;
-    }
-  }
-  return {};
+  return elements;
+}
+
+// Per-thread recycled arenas: a request's nodes and slices cost pointer
+// bumps into warmed chunks, released wholesale when the lease ends.
+sim::ArenaPool& thread_arenas() {
+  static thread_local sim::ArenaPool t_pool;
+  return t_pool;
 }
 
 }  // namespace
@@ -816,10 +833,7 @@ TranslateCounters translate_html(sim::Slice html, MarkupKind target,
              "translate_html targets a handset language, not HTML");
   MCS_ASSERT(wbxml_out == nullptr || target == MarkupKind::kWml,
              "WBXML compilation is defined for WML decks only");
-  // Per-thread recycled arenas: a request's nodes and slices cost pointer
-  // bumps into warmed chunks, released wholesale when the lease ends.
-  static thread_local sim::ArenaPool t_pool;
-  const auto lease = t_pool.acquire();
+  const auto lease = thread_arenas().acquire();
   Arena& arena = *lease;
 
   ViewParser parser{html, arena};
@@ -832,7 +846,7 @@ TranslateCounters translate_html(sim::Slice html, MarkupKind target,
     VNode* deck = new_element(arena, "wml");
     VNode* card = new_element(arena, "card");
     add_attr(arena, card, "id", "main");
-    if (const Slice title = doc_title(x, parsed); !title.empty()) {
+    if (const Slice title = doc_title(arena, parsed); !title.empty()) {
       add_attr(arena, card, "title", title);
     }
     x.children(*parsed, card);
@@ -866,6 +880,24 @@ TranslateCounters translate_html(sim::Slice html, MarkupKind target,
     }
   }
   return x.counters;
+}
+
+std::size_t scan_markup(sim::Slice source, std::string& title_out,
+                        std::string& text_out) {
+  const auto lease = thread_arenas().acquire();
+  Arena& arena = *lease;
+  ViewParser parser{source, arena};
+  const VNode* root = parser.parse();
+
+  title_out.clear();
+  BufWriter{title_out}.put(doc_title(arena, root));
+  text_out.clear();
+  BufWriter text{text_out};
+  text.need(source.size());  // the text is a subsequence of the source
+  const std::size_t elements = scan_walk(*root, text);
+  MCS_INVARIANT(text_out.size() <= source.size(),
+                "page text must be drawn from the source bytes");
+  return elements;
 }
 
 }  // namespace mcs::middleware

@@ -37,4 +37,16 @@ TranslateCounters translate_html(sim::Slice html, MarkupKind target,
                                  std::string& text_out,
                                  std::string* wbxml_out = nullptr);
 
+// The station's one pass over a delivered page (WML or cHTML text, or HTML
+// on the desktop client): parses `source` into the same recycled arena
+// view tree and reports what the legacy parse_markup tree was built for.
+// Returns the element count (MarkupNode::element_count() of the root),
+// writes the title (MarkupDocument::title() rules) to `title_out` and the
+// concatenated text (root inner_text()) to `text_out`. Both buffers are
+// cleared then appended to; callers keep them across pages, so a warm scan
+// performs no heap allocation. The scan equivalence tests assert all three
+// against parse_markup over the corpus and randomized tag soup.
+std::size_t scan_markup(sim::Slice source, std::string& title_out,
+                        std::string& text_out);
+
 }  // namespace mcs::middleware

@@ -1,9 +1,11 @@
 #include "middleware/wbxml.h"
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <vector>
 
+#include "sim/arena.h"
 #include "sim/contract.h"
 
 namespace mcs::middleware {
@@ -52,6 +54,28 @@ const std::map<std::string, std::uint8_t, std::less<>>& attr_tokens() {
       {"type", 0x37},           {"value", 0x39},  {"width", 0x3E},
   };
   return kAttrs;
+}
+
+// Token -> name, indexed by token byte: the decoders' constant-time reverse
+// lookup. An empty view marks a byte outside the code page. The views point
+// into the (static, never mutated) forward maps' keys.
+using TokenNames = std::array<std::string_view, 256>;
+
+TokenNames reverse_table(
+    const std::map<std::string, std::uint8_t, std::less<>>& tokens) {
+  TokenNames names{};
+  for (const auto& [name, token] : tokens) names[token] = name;
+  return names;
+}
+
+const TokenNames& tag_names() {
+  static const TokenNames kNames = reverse_table(tag_tokens());
+  return kNames;
+}
+
+const TokenNames& attr_names() {
+  static const TokenNames kNames = reverse_table(attr_tokens());
+  return kNames;
 }
 
 void write_mb_u32(std::string& out, std::uint32_t v) {
@@ -206,20 +230,6 @@ class Decoder {
     return string_table_.substr(offset, end - offset);
   }
 
-  std::string tag_for(std::uint8_t token) const {
-    for (const auto& [name, t] : tag_tokens()) {
-      if (t == token) return name;
-    }
-    return "";
-  }
-
-  std::string attr_for(std::uint8_t token) const {
-    for (const auto& [name, t] : attr_tokens()) {
-      if (t == token) return name;
-    }
-    return "";
-  }
-
   std::optional<MarkupNode> decode_node() {
     if (pos_ >= b_.size()) return std::nullopt;
     const auto token = static_cast<std::uint8_t>(b_[pos_++]);
@@ -233,7 +243,7 @@ class Decoder {
     if (base == kLiteral) {
       node.tag = table_string(read_mb_u32());
     } else {
-      node.tag = tag_for(base);
+      node.tag = tag_names()[base];
       if (node.tag.empty()) return std::nullopt;
     }
     if (has_attrs) {
@@ -241,7 +251,7 @@ class Decoder {
              static_cast<std::uint8_t>(b_[pos_]) != kEnd) {
         const auto at = static_cast<std::uint8_t>(b_[pos_++]);
         std::string name = at == kLiteral ? table_string(read_mb_u32())
-                                          : attr_for(at);
+                                          : std::string{attr_names()[at]};
         if (name.empty()) return std::nullopt;
         std::string value;
         if (pos_ < b_.size() &&
@@ -273,6 +283,133 @@ class Decoder {
   bool failed_ = false;
 };
 
+// Streaming twin of Decoder: the same grammar and the same accept/reject
+// decision on every input, but each node is serialized into the caller's
+// buffer as it is decoded (serialize_node's rules in markup.cpp) instead of
+// being built into a tree. Names and strings are slices of the input.
+// Output written before a rejection is garbage; the caller drops it.
+class TextDecoder {
+ public:
+  TextDecoder(sim::Slice bytes, sim::BufWriter& w) : b_{bytes}, w_{w} {}
+
+  bool decode() {
+    if (!take_header()) return false;
+    while (pos_ < b_.size()) {
+      if (!node(/*emit=*/true)) return false;
+    }
+    return true;
+  }
+
+ private:
+  std::uint8_t byte(std::size_t i) const {
+    return static_cast<std::uint8_t>(b_[i]);
+  }
+
+  bool take_header() {
+    if (b_.size() < 4) return false;
+    if (byte(0) != kVersion13) return false;
+    pos_ = 1;
+    (void)read_mb_u32();  // public id
+    (void)read_mb_u32();  // charset
+    const std::uint32_t st_len = read_mb_u32();
+    if (pos_ + st_len > b_.size()) return false;
+    string_table_ = b_.substr(pos_, st_len);
+    pos_ += st_len;
+    return !failed_;
+  }
+
+  std::uint32_t read_mb_u32() {
+    std::uint32_t v = 0;
+    while (pos_ < b_.size()) {
+      const std::uint8_t c = byte(pos_++);
+      v = (v << 7) | (c & 0x7F);
+      if ((c & 0x80) == 0) return v;
+    }
+    failed_ = true;
+    return 0;
+  }
+
+  sim::Slice read_cstr() {
+    const std::size_t start = pos_;
+    while (pos_ < b_.size() && b_[pos_] != '\0') ++pos_;
+    const sim::Slice s = b_.substr(start, pos_ - start);
+    if (pos_ < b_.size()) ++pos_;  // consume NUL
+    return s;
+  }
+
+  sim::Slice table_string(std::uint32_t offset) const {
+    if (offset >= string_table_.size()) return {};
+    const std::size_t end = string_table_.find('\0', offset);
+    return string_table_.substr(offset, end - offset);
+  }
+
+  // One node at pos_ (< size). `emit` is false under an element whose tag
+  // resolved empty: the tree serializes such an element as a text node with
+  // no text, so its whole subtree is validated but writes nothing.
+  bool node(bool emit) {
+    const std::uint8_t token = byte(pos_++);
+    if (token == kStrI) {
+      const sim::Slice text = read_cstr();
+      if (emit) w_.put(text);
+      return true;
+    }
+    const bool has_attrs = (token & 0x80) != 0;
+    const bool has_content = (token & kContentFlag) != 0;
+    const std::uint8_t base = token & 0x3F;
+    sim::Slice tag;
+    if (base == kLiteral) {
+      tag = table_string(read_mb_u32());
+    } else {
+      tag = tag_names()[base];
+      if (tag.empty()) return false;
+    }
+    emit = emit && !tag.empty();
+    if (emit) w_.ch('<').put(tag);
+    if (has_attrs) {
+      while (pos_ < b_.size() && byte(pos_) != kEnd) {
+        const std::uint8_t at = byte(pos_++);
+        const sim::Slice name =
+            at == kLiteral ? table_string(read_mb_u32()) : attr_names()[at];
+        if (name.empty()) return false;
+        sim::Slice value;
+        if (pos_ < b_.size() && byte(pos_) == kStrI) {
+          ++pos_;
+          value = read_cstr();
+        }
+        if (emit) w_.ch(' ').put(name).put("=\"").put(value).ch('"');
+      }
+      if (pos_ >= b_.size()) return false;
+      ++pos_;  // END of attribute list
+    }
+    bool has_children = false;
+    if (has_content) {
+      while (pos_ < b_.size() && byte(pos_) != kEnd) {
+        if (emit && !has_children) w_.ch('>');
+        has_children = true;
+        if (!node(emit)) return false;
+      }
+      if (pos_ >= b_.size()) return false;
+      ++pos_;  // END of content
+    }
+    if (!emit) return true;
+    if (!has_children) {
+      if (is_void_tag(tag)) {
+        w_.put("/>");
+        return true;
+      }
+      w_.ch('>');
+    }
+    w_.put("</").put(tag).ch('>');
+    return true;
+  }
+
+  sim::Slice b_;
+  sim::BufWriter& w_;
+  std::size_t pos_ = 0;
+  sim::Slice string_table_;
+  bool failed_ = false;
+};
+
 }  // namespace
 
 std::uint8_t wml_tag_token(std::string_view tag) {
@@ -293,6 +430,13 @@ std::string wbxml_encode(const MarkupDocument& wml) {
 
 std::optional<MarkupDocument> wbxml_decode(const std::string& bytes) {
   return Decoder{bytes}.decode();
+}
+
+bool wbxml_to_text(sim::Slice bytes, std::string& text_out) {
+  text_out.clear();
+  sim::BufWriter w{text_out};
+  w.need(2 * bytes.size());  // tokens expand to names and markup
+  return TextDecoder{bytes, w}.decode();
 }
 
 }  // namespace mcs::middleware

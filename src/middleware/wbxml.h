@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "middleware/markup.h"
+#include "sim/arena.h"
 
 namespace mcs::middleware {
 
@@ -30,5 +31,14 @@ std::uint8_t wml_attr_token(std::string_view name);
 
 // Decode WBXML bytes back to a WML document; nullopt on malformed input.
 std::optional<MarkupDocument> wbxml_decode(const std::string& bytes);
+
+// Decode WBXML bytes straight to WML text, with no tree: on success
+// `text_out` holds exactly wbxml_decode(bytes)->serialize() and the result
+// is true; the result is false on exactly the inputs wbxml_decode rejects
+// (`text_out` is then unspecified). The buffer is cleared then appended to,
+// so a caller that keeps it across decks decodes without heap allocation
+// once it is warm. This is the station's decoder; wbxml_decode is the test
+// oracle it is checked against.
+bool wbxml_to_text(sim::Slice bytes, std::string& text_out);
 
 }  // namespace mcs::middleware

@@ -1,5 +1,6 @@
 #include "station/browser.h"
 
+#include "middleware/translate.h"
 #include "sim/arena.h"
 #include "sim/logging.h"
 #include "sim/util.h"
@@ -53,12 +54,8 @@ void MicroBrowser::browse(const std::string& url, PageCallback cb) {
     PageResult r = *hit;
     r.from_cache = true;
     r.network_time = sim::Time::zero();
-    const middleware::MarkupDocument doc = middleware::parse_markup(
-        r.content, cfg_.mode == BrowserMode::kWap ? middleware::MarkupKind::kWml
-                                                  : middleware::MarkupKind::kChtml);
     r.render_time = sim::Time::millis(static_cast<std::int64_t>(
-        device_.render_ms_per_element() *
-        static_cast<double>(doc.root.element_count())));
+        device_.render_ms_per_element() * static_cast<double>(r.elements)));
     battery_.drain_cpu(r.render_time);
     const obs::TraceContext render = obs::begin_child(
         page, obs::Component::kStation, "parse_render", started);
@@ -216,28 +213,26 @@ void MicroBrowser::finish_with_content(const std::string& url, int status,
 
   // Decode WBXML decks back to WML text.
   if (was_wbxml) {
-    const auto doc = middleware::wbxml_decode(content);
-    if (!doc.has_value()) {
+    if (!middleware::wbxml_to_text(content, deck_buf_)) {
       stats_.counter("decode_errors").add();
       r.ok = false;
       r.total_time = station_.sim().now() - started;
       cb(std::move(r));
       return;
     }
-    content = doc->serialize();
+    r.content = deck_buf_;
+  } else {
+    r.content = std::move(content);
   }
-  r.content = std::move(content);
 
-  const middleware::MarkupDocument doc = middleware::parse_markup(
-      r.content, cfg_.mode == BrowserMode::kWap ? middleware::MarkupKind::kWml
-                                                : middleware::MarkupKind::kChtml);
-  r.title = doc.title();
+  r.elements = middleware::scan_markup(r.content, title_buf_, text_buf_);
+  r.title = title_buf_;
+  r.text = text_buf_;
   r.parse_time = sim::Time::micros(static_cast<std::int64_t>(
       device_.parse_ms_per_kb() * 1000.0 *
       static_cast<double>(r.content.size()) / 1024.0));
   r.render_time = sim::Time::millis(static_cast<std::int64_t>(
-      device_.render_ms_per_element() *
-      static_cast<double>(doc.root.element_count())));
+      device_.render_ms_per_element() * static_cast<double>(r.elements)));
   battery_.drain_cpu(r.parse_time + r.render_time);
 
   if (r.ok) {

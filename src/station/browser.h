@@ -32,8 +32,9 @@ struct BrowserConfig {
 };
 
 // The microbrowser on a mobile station: issues page requests through the
-// middleware, decodes/parses the returned deck, charges the device's CPU
-// and battery for parse/render work, and caches pages in a RAM-budgeted LRU.
+// middleware, decodes the returned deck and scans it once (title, text,
+// element count), charges the device's CPU and battery for parse/render
+// work, and caches pages in a RAM-budgeted LRU.
 class MicroBrowser {
  public:
   struct PageResult {
@@ -41,6 +42,8 @@ class MicroBrowser {
     int status = 0;
     std::string title;
     std::string content;        // decoded markup (WML or cHTML text)
+    std::string text;           // the page's text, markup stripped
+    std::size_t elements = 0;   // element count; drives render cost
     std::size_t over_air_bytes = 0;
     bool from_cache = false;
     sim::Time network_time;
@@ -66,12 +69,6 @@ class MicroBrowser {
   bool wtls_established() const { return wtls_channel_.has_value(); }
 
  private:
-  struct CachedPage {
-    std::string content;
-    std::string title;
-    int status = 0;
-  };
-
   // `page` is the browse span (obs/trace.h); parse/render child spans and
   // outgoing-request stamping hang off it.
   void finish_with_content(const std::string& url, int status,
@@ -105,6 +102,11 @@ class MicroBrowser {
   };
   std::vector<SecureWaiter> wtls_waiters_;
   sim::StatsRegistry stats_;
+  // Reused per-page buffers: the decoded deck, its title and its text are
+  // produced here, then copied once into the page's own strings.
+  std::string deck_buf_;
+  std::string title_buf_;
+  std::string text_buf_;
   // Telemetry handles, cached at construction (obs/metrics.h): null when no
   // registry is ambient, so each update is one predictable branch.
   obs::TsCounter* m_browses_ = obs::metric_counter("station.browse");

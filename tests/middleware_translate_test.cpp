@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 
 #include "middleware/adaptation.h"
@@ -224,6 +225,290 @@ TEST(TranslateBuffers, WbxmlHeaderIsCanonicalEmptyStringTable) {
   translate_html("<p>x</p>", MarkupKind::kWml, cfg, text, &wbxml);
   ASSERT_GE(wbxml.size(), 4u);
   EXPECT_EQ(wbxml.substr(0, 4), std::string("\x03\x04\x6A\x00", 4));
+}
+
+// --- Adaptation through arena_cat ------------------------------------------
+// Truncation ("..." suffix) and ordered-list numbering ("N. " prefix) build
+// their text from a part list that ends in an empty slice; the sanitizer CI
+// job runs this path (an empty slice must never reach memcpy).
+
+TEST(TranslateAdaptation, TruncatesTextAndNumbersListItems) {
+  AdaptationConfig cfg;
+  cfg.max_text_run = 4;
+  std::string text;
+  const TranslateCounters got = translate_html(
+      "<ol><li>alpha</li><li>be</li></ol><p>longer text</p>",
+      MarkupKind::kWml, cfg, text);
+  EXPECT_EQ(text,
+            "<wml><card id=\"main\"><p>1. alph...</p><p>2. be</p>"
+            "<p>long...</p></card></wml>");
+  EXPECT_EQ(got.text_truncations, 2u);
+}
+
+// --- scan_markup: the station's one pass -----------------------------------
+// Differential against the tree parser: element count, title() and the
+// root's inner_text() must all match parse_markup on every input.
+
+void expect_scan_matches_tree(const std::string& src) {
+  const MarkupDocument doc = parse_markup(src, MarkupKind::kWml);
+  std::string title;
+  std::string text;
+  const std::size_t elements = scan_markup(src, title, text);
+  EXPECT_EQ(elements, doc.root.element_count()) << "src: " << src;
+  EXPECT_EQ(title, doc.title()) << "src: " << src;
+  EXPECT_EQ(text, doc.root.inner_text()) << "src: " << src;
+}
+
+TEST_P(TranslateCorpus, ScanMatchesTreeParser) {
+  expect_scan_matches_tree(kCorpus[GetParam()]);
+}
+
+TEST(ScanMarkup, MatchesTreeParserOnParserQuirks) {
+  const char* cases[] = {
+      "<WML><CARD ID=x TITLE=\"Up\"><P>Upper</P></CARD></WML>",
+      "</p>stray<p>open</b>mismatched</i></p></p>",
+      "<b><i>cross</b>nested</i>tail",
+      "<script>if (a < b) { x('<title>no</title>'); }</script><p>shown</p>",
+      "<STYLE>p { x: y }</STYLE><p>styled</p>",
+      "<script/>after self-closed raw tag",
+      "<script>never closed <p>",
+      "<!-- <title>hidden</title> --><p>c</p><!-- unterminated",
+      "<title/><card title=\"fallback ignored\"><p>x</p></card>",
+      "<title>  \n padded\t </title>",
+      "<card title=\"First\"><p>one</p></card><title>Late</title>",
+      "<card title=\"C1\"><p>one</p></card><card title=\"C2\"><p>two</p>"
+      "</card><card><p>three</p></card>",
+      "<card><p>untitled</p></card><card title=\"Second\"></card>",
+      "<wml><card id=\"main\" title=\"Deck\"><p>a<br/>b</p>"
+      "<p><a href=\"/x\">link</a></p></card></wml>",
+      "<img src=a alt=\"x\"><br><input name=q><p>void elements</p>",
+      "<p a='x>y' b=\"<\">quoted gt</p>",
+      "   \n\t  ",
+      "<",
+      "<p",
+      "<>",
+      "< p>space</p>",
+      "<?xml version=\"1.0\"?><!DOCTYPE wml><wml><card><p>x</p></card></wml>",
+      "text <TITLE>Mixed</title> more",
+  };
+  for (const char* src : cases) expect_scan_matches_tree(src);
+}
+
+// Random tag soup: a token stream (not a well-formed tree) of start/end
+// tags in mixed case, stray and mismatched end tags, comments, raw-text
+// elements, self-closing and void tags, titles, cards and text.
+std::string random_soup(sim::Rng& rng) {
+  static const char* kNames[] = {"p",     "b",     "card",   "title",
+                                 "TITLE", "Card",  "script", "style",
+                                 "br",    "img",   "a",      "wml",
+                                 "div",   "I",     "td",     "x-y"};
+  static const char* kTexts[] = {"a",     " ",      "word ", "\n",
+                                 "two w", "<",      ">",     "a=b",
+                                 "  pad ", "x</p>y", "&amp;", "\t\t"};
+  std::string out;
+  const int n = static_cast<int>(rng.uniform_int(0, 24));
+  for (int i = 0; i < n; ++i) {
+    const char* name = kNames[rng.uniform_int(0, std::size(kNames) - 1)];
+    switch (rng.uniform_int(0, 7)) {
+      case 0:
+      case 1:
+        out += sim::strf("<%s>", name);
+        break;
+      case 2:
+        out += sim::strf("<%s title=\"t%d\" id=x>", name,
+                         static_cast<int>(rng.uniform_int(0, 9)));
+        break;
+      case 3:
+        out += sim::strf("</%s>", name);
+        break;
+      case 4:
+        out += sim::strf("<%s/>", name);
+        break;
+      case 5:
+        out += rng.bernoulli(0.5) ? "<!-- c -->" : "<!x>";
+        break;
+      default:
+        out += kTexts[rng.uniform_int(0, std::size(kTexts) - 1)];
+        break;
+    }
+  }
+  return out;
+}
+
+class ScanRandomSoup : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ScanRandomSoup, MatchesTreeParser) {
+  sim::Rng rng{GetParam()};
+  for (int round = 0; round < 200; ++round) {
+    expect_scan_matches_tree(random_soup(rng));
+  }
+}
+
+TEST_P(ScanRandomSoup, MatchesTreeParserOnRandomTrees) {
+  sim::Rng rng{GetParam()};
+  for (int round = 0; round < 25; ++round) {
+    MarkupDocument doc;
+    const int tops = static_cast<int>(rng.uniform_int(1, 4));
+    for (int i = 0; i < tops; ++i) {
+      doc.root.children.push_back(random_node(rng, 4));
+    }
+    expect_scan_matches_tree(doc.serialize());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ScanRandomSoup,
+                         ::testing::Values(401, 402, 403, 404));
+
+TEST(ScanMarkup, BuffersAreClearedAndReused) {
+  std::string title;
+  std::string text;
+  EXPECT_EQ(scan_markup("<title>Long title here</title><p>body text</p>",
+                        title, text),
+            2u);
+  EXPECT_EQ(title, "Long title here");
+  EXPECT_EQ(text, "Long title herebody text");
+  EXPECT_EQ(scan_markup("<p>x</p>", title, text), 1u);
+  EXPECT_EQ(title, "");
+  EXPECT_EQ(text, "x");
+}
+
+// --- wbxml_to_text: the station's streaming decoder ------------------------
+// Differential against wbxml_decode()->serialize(): the same accept/reject
+// decision and, on accept, the same bytes.
+
+std::string hex(const std::string& bytes) {
+  std::string out;
+  for (const char c : bytes) {
+    out += sim::strf("%02x", static_cast<unsigned char>(c));
+  }
+  return out;
+}
+
+void expect_text_decode_matches_tree(const std::string& bytes) {
+  const std::optional<MarkupDocument> tree = wbxml_decode(bytes);
+  std::string text;
+  const bool ok = wbxml_to_text(bytes, text);
+  ASSERT_EQ(ok, tree.has_value())
+      << "accept/reject differs on " << hex(bytes);
+  if (ok) {
+    EXPECT_EQ(text, tree->serialize()) << "bytes: " << hex(bytes);
+  }
+}
+
+// Every prefix and every single-byte corruption (all 256 values at every
+// position) of a valid deck.
+void expect_text_decode_matches_tree_around(const std::string& bytes) {
+  expect_text_decode_matches_tree(bytes);
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    expect_text_decode_matches_tree(bytes.substr(0, cut));
+  }
+  std::string corrupt = bytes;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (int v = 0; v < 256; ++v) {
+      corrupt[i] = static_cast<char>(v);
+      expect_text_decode_matches_tree(corrupt);
+    }
+    corrupt[i] = bytes[i];
+  }
+}
+
+TEST_P(TranslateCorpus, WbxmlToTextMatchesTreeDecoder) {
+  const AdaptationConfig cfg;
+  std::string text;
+  std::string wbxml;
+  translate_html(kCorpus[GetParam()], MarkupKind::kWml, cfg, text, &wbxml);
+  expect_text_decode_matches_tree_around(wbxml);
+  // The decoded deck is the page the station renders.
+  std::string decoded;
+  ASSERT_TRUE(wbxml_to_text(wbxml, decoded));
+  EXPECT_EQ(decoded, text);
+}
+
+TEST(WbxmlToText, LiteralTagsAndStringTableMatchTreeDecoder) {
+  // Tags and attributes outside the WML 1.1 code page go through LITERAL
+  // tokens backed by the string table; "hr" and "col" are literal void
+  // elements, "weird" a literal container.
+  MarkupDocument doc;
+  doc.kind = MarkupKind::kWml;
+  MarkupNode card = MarkupNode::element("card");
+  card.set_attr("title", "T");
+  card.set_attr("customattr", "v v");
+  MarkupNode weird = MarkupNode::element("weird");
+  weird.set_attr("data-x", "");
+  weird.children.push_back(MarkupNode::text_node("inside"));
+  weird.children.push_back(MarkupNode::element("hr"));
+  card.children.push_back(std::move(weird));
+  card.children.push_back(MarkupNode::element("col"));
+  card.children.push_back(MarkupNode::element("br"));
+  MarkupNode empty_p = MarkupNode::element("p");
+  card.children.push_back(std::move(empty_p));
+  MarkupNode wml = MarkupNode::element("wml");
+  wml.children.push_back(std::move(card));
+  doc.root.children.push_back(std::move(wml));
+  doc.root.children.push_back(MarkupNode::text_node("top-level text"));
+  const std::string bytes = wbxml_encode(doc);
+  ASSERT_NE(static_cast<unsigned char>(bytes[3]), 0u)
+      << "the deck must carry a string table";
+  std::string text;
+  ASSERT_TRUE(wbxml_to_text(bytes, text));
+  EXPECT_EQ(text, doc.serialize());
+  expect_text_decode_matches_tree_around(bytes);
+}
+
+TEST(WbxmlToText, HandBuiltEdgeCasesMatchTreeDecoder) {
+  const std::string hdr("\x03\x04\x6A", 3);
+  const std::string cases[] = {
+      // Empty body; string table only; text with no closing NUL.
+      hdr + std::string("\x00", 1),
+      hdr + std::string("\x02" "a\x00", 3),
+      hdr + std::string("\x00\x03" "abc", 5),
+      // LITERAL tag at an offset past the table: the tree decoder keeps an
+      // element with an empty tag, which serializes to nothing, children
+      // and attributes included.
+      hdr + std::string("\x02" "x\x00" "\xC4\x09\x04\x00\x03" "v\x00\x01"
+                        "\x03" "kid\x00\x01\x03" "after\x00", 23),
+      // LITERAL name with no terminating NUL in the table.
+      hdr + std::string("\x02" "ab" "\x04\x00", 5),
+      // Content flag with no children: "<p></p>" and "<br/>".
+      hdr + std::string("\x00\x60\x01\x66\x01", 5),
+      // Attribute without a value, duplicate attributes.
+      hdr + std::string("\x00\xA0\x55\x55\x03" "v\x00\x01", 8),
+      // Multi-byte string-table length, then truncated mb integers.
+      hdr + std::string("\x81\x00", 2),
+      std::string("\x03\x84", 2) + std::string("\x80\x80", 2),
+      hdr + std::string("\x00\x04\x80", 3),
+      hdr + std::string("\x00\x84\x80", 3),
+      // Unknown global tokens and attribute tokens.
+      hdr + std::string("\x00\x01", 2),
+      hdr + std::string("\x00\x43", 2),
+      hdr + std::string("\x00\xA0\x03\x01", 4),
+      hdr + std::string("\x00\xA0\x85\x01", 4),
+  };
+  for (const std::string& bytes : cases) expect_text_decode_matches_tree(bytes);
+}
+
+TEST_P(TranslateRandomDocs, WbxmlToTextMatchesTreeDecoderOnRandomDecks) {
+  sim::Rng rng{GetParam()};
+  for (int round = 0; round < 20; ++round) {
+    MarkupDocument doc;
+    doc.kind = MarkupKind::kWml;
+    const int tops = static_cast<int>(rng.uniform_int(1, 4));
+    for (int i = 0; i < tops; ++i) {
+      doc.root.children.push_back(random_node(rng, 4));
+    }
+    const std::string bytes = wbxml_encode(doc);
+    expect_text_decode_matches_tree(bytes);
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+      expect_text_decode_matches_tree(bytes.substr(0, cut));
+    }
+    std::string junk = bytes;
+    for (int flips = 0; flips < 50; ++flips) {
+      junk[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(junk.size()) - 1))] =
+          static_cast<char>(rng.uniform_int(0, 255));
+      expect_text_decode_matches_tree(junk);
+    }
+  }
 }
 
 }  // namespace

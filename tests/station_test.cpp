@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/system.h"
 #include "net/network.h"
 #include "station/browser.h"
 #include "station/cache.h"
@@ -265,6 +266,73 @@ TEST_F(BrowserFixture, MissingPageReportsStatus) {
   ASSERT_TRUE(got.has_value());
   EXPECT_FALSE(got->ok);
   EXPECT_EQ(got->status, 404);
+}
+
+// --- Pinned station outputs ------------------------------------------------
+// What the station hands up for one page: the title, the text the app layer
+// reads (FetchResult::body) and the parse/render CPU it charges. Pinned for
+// a WAP deck, an i-mode page and a cache hit; the values were captured from
+// the tree-parser station (wbxml_decode + serialize + parse_markup) that the
+// one-pass scan replaced, so any drift in the scan shows up here.
+
+struct PinnedPage {
+  std::string title;
+  std::string body;
+  sim::Time parse_time;
+  sim::Time render_time;
+  bool from_cache = false;
+};
+
+// Loads url() `visits` times on the slowest Table 2 device (so the render
+// cost resolves the element count) and reports the last visit. The title and
+// costs come from the browser's PageResult, the body from a BrowserClient
+// (the app-facing driver) on a second, identically configured browser.
+PinnedPage load_pinned(BrowserFixture& f, BrowserMode mode, int visits) {
+  PinnedPage out;
+  auto browser = f.make_browser(mode, palm_i705());
+  for (int i = 0; i < visits; ++i) {
+    browser->browse(f.url(), [&](MicroBrowser::PageResult r) {
+      out.title = r.title;
+      out.parse_time = r.parse_time;
+      out.render_time = r.render_time;
+      out.from_cache = r.from_cache;
+    });
+    f.sim.run();
+  }
+  auto driven = f.make_browser(mode, palm_i705());
+  core::BrowserClient client{*driven};
+  for (int i = 0; i < visits; ++i) {
+    client.fetch(f.url(), [&](core::FetchResult r) { out.body = r.body; });
+    f.sim.run();
+  }
+  return out;
+}
+
+TEST_F(BrowserFixture, PinnedWapPageOutputs) {
+  const PinnedPage p = load_pinned(*this, BrowserMode::kWap, 1);
+  EXPECT_FALSE(p.from_cache);
+  EXPECT_EQ(p.title, "P");
+  EXPECT_EQ(p.body, "PageBody text for the page");
+  EXPECT_EQ(p.parse_time.ns(), 538000);
+  EXPECT_EQ(p.render_time.ns(), 6000000);
+}
+
+TEST_F(BrowserFixture, PinnedImodePageOutputs) {
+  const PinnedPage p = load_pinned(*this, BrowserMode::kImode, 1);
+  EXPECT_FALSE(p.from_cache);
+  EXPECT_EQ(p.title, "");
+  EXPECT_EQ(p.body, "PageBody text for the page");
+  EXPECT_EQ(p.parse_time.ns(), 432000);
+  EXPECT_EQ(p.render_time.ns(), 6000000);
+}
+
+TEST_F(BrowserFixture, PinnedCacheHitOutputs) {
+  const PinnedPage p = load_pinned(*this, BrowserMode::kWap, 2);
+  EXPECT_TRUE(p.from_cache);
+  EXPECT_EQ(p.title, "P");
+  EXPECT_EQ(p.body, "PageBody text for the page");
+  EXPECT_EQ(p.parse_time.ns(), 538000);
+  EXPECT_EQ(p.render_time.ns(), 6000000);
 }
 
 }  // namespace
