@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "sim/arena.h"
 #include "sim/util.h"
 
 namespace mcs::core {
@@ -9,6 +10,8 @@ namespace mcs::core {
 using host::HttpRequest;
 using host::HttpResponse;
 using host::query_param;
+using host::db::int_field;
+using host::db::real_field;
 using host::db::Value;
 using host::db::ValueType;
 using sim::strf;
@@ -17,9 +20,9 @@ namespace {
 
 // Wrap application text in a small HTML page so the middleware has real
 // markup to translate (headings, paragraphs, links).
-std::string html_page(const std::string& title, const std::string& body) {
-  return "<html><head><title>" + title + "</title></head><body><h1>" + title +
-         "</h1>" + body + "</body></html>";
+std::string html_page(sim::Slice title, sim::Slice body) {
+  return sim::cat("<html><head><title>", title, "</title></head><body><h1>",
+                  title, "</h1>", body, "</body></html>");
 }
 
 // ---------------------------------------------------------------------------
@@ -63,24 +66,29 @@ class CommerceApp final : public Application {
           respond(HttpResponse::server_error("db down"));
           return;
         }
-        // Convert string rows to typed rows for the personalizer.
+        // Typed rows for the personalizer, built straight from the views.
         std::vector<host::db::Row> rows;
+        rows.reserve(r.rows.size());
         for (const auto& f : r.rows) {
           if (f.size() < 5) continue;
-          rows.push_back({static_cast<std::int64_t>(std::atoll(f[0].c_str())),
-                          f[1], f[2], std::atof(f[3].c_str()),
-                          static_cast<std::int64_t>(std::atoll(f[4].c_str()))});
+          rows.push_back({int_field(f[0]), std::string{f[1]},
+                          std::string{f[2]}, real_field(f[3]),
+                          int_field(f[4])});
         }
         rows = env_.personalization->personalize_catalog(user, std::move(rows),
                                                          2, 3);
         std::string body = "<ul>";
+        sim::BufWriter w{body};
         for (std::size_t i = 0; i < rows.size() && i < 10; ++i) {
-          body += strf("<li><a href=\"/shop/buy?item=%s\">%s ($%s)</a></li>",
-                       host::db::to_string(rows[i][0]).c_str(),
-                       host::db::to_string(rows[i][1]).c_str(),
-                       host::db::to_string(rows[i][3]).c_str());
+          w.put("<li><a href=\"/shop/buy?item=");
+          host::db::append_value(w, rows[i][0]);
+          w.put("\">");
+          host::db::append_value(w, rows[i][1]);
+          w.put(" ($");
+          host::db::append_value(w, rows[i][3]);
+          w.put(")</a></li>");
         }
-        body += "</ul>";
+        w.put("</ul>");
         respond(HttpResponse::make(200, "text/html",
                                    html_page("Catalog", body)));
       });
@@ -102,16 +110,17 @@ class CommerceApp final : public Application {
           respond(HttpResponse::not_found("item " + item));
           return;
         }
-        const double price = std::atof(r.rows[0][3].c_str());
-        const auto stock = std::atoll(r.rows[0][4].c_str());
+        const double price = real_field(r.rows[0][3]);
+        const std::int64_t stock = int_field(r.rows[0][4]);
         if (stock <= 0) {
           respond(HttpResponse::make(409, "text/html",
                                      html_page("Sold out", "<p>0 left</p>")));
           return;
         }
-        env_.personalization->record_interest(user, r.rows[0][2]);
+        env_.personalization->record_interest(user,
+                                              std::string{r.rows[0][2]});
         env_.payments->charge(
-            key, user, price, r.rows[0][1],
+            key, user, price, std::string{r.rows[0][1]},
             [item, stock, ctx, respond](PaymentCoordinator::Outcome o) mutable {
           if (!o.ok) {
             respond(HttpResponse::make(
@@ -119,7 +128,8 @@ class CommerceApp final : public Application {
                 html_page("Payment failed", "<p>" + o.failure + "</p>")));
             return;
           }
-          ctx.db->update(0, "products", item, 4, strf("%lld", stock - 1),
+          ctx.db->update(0, "products", item, 4,
+                         std::string{sim::i64s(stock - 1)},
                          [](host::db::DbClient::Result) {});
           respond(HttpResponse::make(
               200, "text/html",
@@ -269,7 +279,7 @@ class ErpApp final : public Application {
         respond(HttpResponse::make(
             200, "text/html",
             html_page("Resource",
-                      "<p>AVAILABLE " + r.rows[0][1] + "</p>")));
+                      sim::cat("<p>AVAILABLE ", r.rows[0][1], "</p>"))));
       });
     });
     env.programs->install("GET", "/erp/allocate",
@@ -283,13 +293,14 @@ class ErpApp final : public Application {
           respond(HttpResponse::not_found(id));
           return;
         }
-        const auto avail = std::atoll(r.rows[0][1].c_str());
+        const std::int64_t avail = int_field(r.rows[0][1]);
         if (avail < qty) {
           respond(HttpResponse::make(
               409, "text/html", html_page("ERP", "<p>ALLOC-DENIED</p>")));
           return;
         }
-        ctx.db->update(0, "resources", id, 1, strf("%lld", avail - qty),
+        ctx.db->update(0, "resources", id, 1,
+                       std::string{sim::i64s(avail - qty)},
                        [respond](host::db::DbClient::Result u) mutable {
           respond(HttpResponse::make(
               200, "text/html",
@@ -430,9 +441,9 @@ class HealthCareApp final : public Application {
         }
         respond(HttpResponse::make(
             200, "text/html",
-            html_page("Record " + id,
-                      "<p>RECORD " + r.rows[0][1] + ": " + r.rows[0][2] +
-                          "</p>")));
+            html_page(sim::cat("Record ", id),
+                      sim::cat("<p>RECORD ", r.rows[0][1], ": ", r.rows[0][2],
+                               "</p>"))));
       });
     });
   }
@@ -533,8 +544,8 @@ class InventoryApp final : public Application {
         }
         respond(HttpResponse::make(
             200, "text/html",
-            html_page("Track", "<p>AT " + r.rows[0][1] + "," + r.rows[0][2] +
-                                   "</p>")));
+            html_page("Track", sim::cat("<p>AT ", r.rows[0][1], ",",
+                                        r.rows[0][2], "</p>"))));
       });
     });
   }
@@ -617,10 +628,11 @@ class TrafficApp final : public Application {
           return;
         }
         std::string body = "<p>ADVISORIES</p><ul>";
+        sim::BufWriter w{body};
         for (const auto& row : r.rows) {
-          if (row.size() >= 3) body += "<li>" + row[2] + "</li>";
+          if (row.size() >= 3) w.put("<li>").put(row[2]).put("</li>");
         }
-        body += "</ul>";
+        w.put("</ul>");
         respond(HttpResponse::make(200, "text/html",
                                    html_page("Traffic", body)));
       });
@@ -689,13 +701,14 @@ class TravelApp final : public Application {
           return;
         }
         std::string body = "<p>FLIGHTS</p><ul>";
+        sim::BufWriter w{body};
         for (const auto& row : r.rows) {
           if (row.size() >= 4) {
-            body += "<li>" + row[0] + " $" + row[2] + " seats:" + row[3] +
-                    "</li>";
+            w.put("<li>").put(row[0]).put(" $").put(row[2]).put(" seats:")
+                .put(row[3]).put("</li>");
           }
         }
-        body += "</ul>";
+        w.put("</ul>");
         respond(HttpResponse::make(200, "text/html",
                                    html_page("Search", body)));
       });
@@ -712,8 +725,8 @@ class TravelApp final : public Application {
           respond(HttpResponse::not_found(flight));
           return;
         }
-        const double price = std::atof(r.rows[0][2].c_str());
-        const auto seats = std::atoll(r.rows[0][3].c_str());
+        const double price = real_field(r.rows[0][2]);
+        const std::int64_t seats = int_field(r.rows[0][3]);
         if (seats <= 0) {
           respond(HttpResponse::make(
               409, "text/html", html_page("Booking", "<p>SOLD-OUT</p>")));
@@ -728,7 +741,8 @@ class TravelApp final : public Application {
                 html_page("Booking", "<p>PAYMENT-FAIL " + o.failure + "</p>")));
             return;
           }
-          ctx.db->update(0, "flights", flight, 3, strf("%lld", seats - 1),
+          ctx.db->update(0, "flights", flight, 3,
+                         std::string{sim::i64s(seats - 1)},
                          [](host::db::DbClient::Result) {});
           respond(HttpResponse::make(
               200, "text/html",

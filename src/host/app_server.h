@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "host/db/db_server.h"
 #include "host/http_server.h"
@@ -52,8 +53,11 @@ class AppServer {
   std::size_t programs_ = 0;
 };
 
-// Query-string helper for CGI parameters: "/buy?item=5&qty=2".
-std::string query_param(const std::string& path, const std::string& key);
+// Query-string helper for CGI parameters: "/buy?item=5&qty=2". The first
+// pair named `key` wins; pairs without '=' are skipped. Returns an owned
+// string because callers capture it into DB callbacks that outlive the
+// request.
+std::string query_param(std::string_view path, std::string_view key);
 // Path without the query string.
 std::string path_without_query(const std::string& path);
 

@@ -10,15 +10,7 @@ namespace mcs::host::db {
 
 namespace {
 
-// Append one cell in to_string() form; WAL rows join cells with '|'.
-void append_value(sim::BufWriter& w, const Value& v) {
-  switch (v.index()) {
-    case 0: w.i64(std::get<std::int64_t>(v)); break;
-    case 1: w.f("%.6g", std::get<double>(v)); break;
-    default: w.put(std::get<std::string>(v));
-  }
-}
-
+// WAL rows join to_string()-form cells with '|'.
 void append_row(sim::BufWriter& w, const Row& row) {
   for (std::size_t i = 0; i < row.size(); ++i) {
     if (i > 0) w.ch('|');

@@ -1,6 +1,7 @@
 #include "host/db/db_server.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 
 #include "sim/arena.h"
@@ -27,19 +28,22 @@ void esc_append(sim::BufWriter& w, sim::Slice s) {
   }
 }
 
-// Append the unescaped form of `s` (inverse of esc_append). A `%XY` window
-// decodes with strtol(16) semantics over the two characters, matching what
-// the historical substr-based decoder produced for malformed input.
+// Append the unescaped form of `s` (inverse of esc_append), copying the
+// runs between escapes in bulk. A `%XY` window decodes with strtol(16)
+// semantics over the two characters, matching what the historical
+// substr-based decoder produced for malformed input; a '%' in the last two
+// characters stays literal.
 void unesc_append(std::string& out, sim::Slice s) {
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%' && i + 2 < s.size()) {
-      const char hex[3] = {s[i + 1], s[i + 2], '\0'};
-      out += static_cast<char>(std::strtol(hex, nullptr, 16));
-      i += 2;
-    } else {
-      out += s[i];
-    }
+  sim::BufWriter w{out};
+  std::size_t i = 0;
+  for (std::size_t pct; (pct = s.find('%', i)) != sim::Slice::npos &&
+                        pct + 2 < s.size();
+       i = pct + 3) {
+    w.put(sim::Slice{s.data() + i, pct - i});
+    const char hex[3] = {s[pct + 1], s[pct + 2], '\0'};
+    w.ch(static_cast<char>(std::strtol(hex, nullptr, 16)));
   }
+  w.put(sim::Slice{s.data() + i, s.size() - i});
 }
 
 }  // namespace
@@ -55,35 +59,16 @@ std::string unesc(const std::string& s) {
   return sim::build(s.size(), [&](std::string& out) { unesc_append(out, s); });
 }
 
-std::string join_fields(const std::vector<std::string>& fields) {
-  std::size_t est = fields.size();
-  for (const auto& f : fields) est += f.size();
-  return sim::build(est, [&](std::string& out) {
-    sim::BufWriter w{out};
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      if (i > 0) w.ch('|');
-      esc_append(w, fields[i]);
-    }
-  });
+std::int64_t int_field(sim::Slice f) {
+  std::int64_t v = 0;
+  std::from_chars(f.data(), f.data() + f.size(), v);
+  return v;
 }
 
-std::vector<std::string> split_fields(const std::string& s) {
-  // Client-side decoding hands owned strings to the caller, so the fields
-  // must materialize; count separators first so the vector is sized once.
-  std::size_t nf = 1;
-  for (char c : s) nf += c == '|' ? 1 : 0;
-  std::vector<std::string> out;
-  out.resize(nf);
-  std::size_t start = 0;
-  std::size_t idx = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == '|') {
-      unesc_append(out[idx], sim::Slice{s.data() + start, i - start});
-      ++idx;
-      start = i + 1;
-    }
-  }
-  return out;
+double real_field(sim::Slice f) {
+  double v = 0.0;
+  std::from_chars(f.data(), f.data() + f.size(), v);
+  return v;
 }
 
 namespace {
@@ -124,8 +109,8 @@ Value parse_field(sim::Slice f, ValueType type) {
   return parse_value(buf, type);
 }
 
-// Decode "<f1>|<f2>|..." straight into a typed Row, skipping the
-// vector<string> the old split_fields round trip materialized per insert.
+// Decode "<f1>|<f2>|..." straight into a typed Row, with no per-field
+// strings in between.
 Row decode_row_packed(const Table& t, sim::Slice packed) {
   std::size_t nf = 1;
   for (char c : packed) nf += c == '|' ? 1 : 0;
@@ -144,13 +129,13 @@ Row decode_row_packed(const Table& t, sim::Slice packed) {
   return row;
 }
 
-// Serialize one cell in to_string() form (ints "%lld", reals "%.6g", text
-// escaped); numeric renderings never contain escapable characters.
+// Serialize one cell in to_string() form with text escaped; numeric
+// renderings never contain escapable characters.
 void encode_value(sim::BufWriter& w, const Value& v) {
-  switch (v.index()) {
-    case 0: w.i64(std::get<std::int64_t>(v)); break;
-    case 1: w.f("%.6g", std::get<double>(v)); break;
-    default: esc_append(w, std::get<std::string>(v));
+  if (const auto* text = std::get_if<std::string>(&v)) {
+    esc_append(w, *text);
+  } else {
+    append_value(w, v);
   }
 }
 
@@ -176,6 +161,40 @@ const char* db_span_name(sim::Slice cmd) {
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Rows
+// ---------------------------------------------------------------------------
+
+void Rows::start(std::size_t n, sim::Slice ahead) {
+  MCS_ASSERT(n > 0 && declared_ == 0 && rows_.empty(),
+             "a Rows value holds one answer");
+  // Bytes already received bound the text (unescaping only shrinks) and
+  // the row count (each row line ends in '\n'); fields grow past one per
+  // row as they arrive.
+  const std::size_t rows = std::min(n, ahead.size());
+  declared_ = n;
+  text_.reserve(ahead.size());
+  fields_.reserve(1 + rows);
+  rows_.reserve(1 + rows);
+  fields_.push_back(0);
+  rows_.push_back(0);
+}
+
+void Rows::append(sim::Slice line) {
+  MCS_ASSERT(size() < declared_, "more row lines than the ROWS header");
+  MCS_ASSERT(text_.size() + line.size() <= UINT32_MAX,
+             "field offsets are 32-bit: one answer stays under 4 GiB");
+  for (std::size_t start = 0;;) {
+    const std::size_t bar = line.find('|', start);
+    const std::size_t end = bar == sim::Slice::npos ? line.size() : bar;
+    unesc_append(text_, sim::Slice{line.data() + start, end - start});
+    fields_.push_back(static_cast<std::uint32_t>(text_.size()));
+    if (bar == sim::Slice::npos) break;
+    start = bar + 1;
+  }
+  rows_.push_back(static_cast<std::uint32_t>(fields_.size() - 1));
+}
 
 // ---------------------------------------------------------------------------
 // DbServer
@@ -292,30 +311,26 @@ void DbServer::respond_commit(const std::shared_ptr<Connection>& conn,
   }
 }
 
+template <typename Visit>
 void DbServer::respond_rows(const std::shared_ptr<Connection>& conn,
-                            const Slot& slot, const std::vector<Row>& rows) {
-  auto msg = sim::build(16 + 16 * rows.size(), [&](std::string& out) {
-    sim::BufWriter w{out};
-    w.put("ROWS ").u64(rows.size());
-    for (const auto& r : rows) {
-      w.ch('\n');
-      encode_row(w, r);
-    }
+                            const Slot& slot, const Visit& visit) {
+  // Rows are encoded straight from the table into a reused per-thread
+  // buffer (slot 2: parse_field and the table name hold 0 and 1), then
+  // copied once into a message with room for the '\n' complete() appends.
+  std::string& body = sim::scratch(2);
+  body.clear();
+  sim::BufWriter w{body};
+  std::uint64_t n = 0;
+  visit([&](const Row& r) {
+    w.ch('\n');
+    encode_row(w, r);
+    ++n;
   });
-  respond(conn, slot, std::move(msg));
-}
-
-void DbServer::respond_row(const std::shared_ptr<Connection>& conn,
-                           const Slot& slot, const Row* r) {
-  auto msg = sim::build(32, [&](std::string& out) {
-    sim::BufWriter w{out};
-    w.put("ROWS ").u64(r != nullptr ? 1 : 0);
-    if (r != nullptr) {
-      w.ch('\n');
-      encode_row(w, *r);
-    }
-  });
-  respond(conn, slot, std::move(msg));
+  const sim::NumStr count = sim::u64s(n);
+  respond(conn, slot,
+          sim::build(5 + count.len + body.size() + 1, [&](std::string& out) {
+            sim::BufWriter{out}.put("ROWS ").put(count).put(body);
+          }));
 }
 
 void DbServer::on_line(const std::shared_ptr<Connection>& conn,
@@ -455,7 +470,9 @@ void DbServer::on_line(const std::shared_ptr<Connection>& conn,
     }
     const Value pk =
         parse_field(f[2], t->columns()[t->primary_key_col()].type);
-    respond_row(conn, slot, t->find(pk));
+    respond_rows(conn, slot, [&](const auto& fn) {
+      if (const Row* r = t->find(pk); r != nullptr) fn(*r);
+    });
     return;
   }
   if (cmd == "FINDBY" && nf == 4) {
@@ -470,7 +487,8 @@ void DbServer::on_line(const std::shared_ptr<Connection>& conn,
       return;
     }
     const Value v = parse_field(f[3], t->columns()[col].type);
-    respond_rows(conn, slot, t->find_by(col, v));
+    respond_rows(conn, slot,
+                 [&](const auto& fn) { t->each_by(col, v, fn); });
     return;
   }
   if (cmd == "SCAN" && nf == 2) {
@@ -479,7 +497,7 @@ void DbServer::on_line(const std::shared_ptr<Connection>& conn,
       respond(conn, slot, "ERR no-table");
       return;
     }
-    respond_rows(conn, slot, t->all());
+    respond_rows(conn, slot, [&](const auto& fn) { t->each(fn); });
     return;
   }
   respond(conn, slot, "ERR bad-command");
@@ -514,19 +532,30 @@ void DbClient::send_command(std::string&& line, Callback cb) {
 }
 
 void DbClient::on_data(const std::string& bytes) {
-  buffer_ += bytes;
+  sim::Slice data;
+  if (buffer_.empty()) {
+    data = bytes;
+  } else {
+    buffer_ += bytes;
+    data = buffer_;
+  }
+  std::size_t start = 0;
   std::size_t nl;
-  while ((nl = buffer_.find('\n')) != std::string::npos) {
-    std::string line = buffer_.substr(0, nl);
-    buffer_.erase(0, nl + 1);
-    on_line(line);
+  while ((nl = data.find('\n', start)) != sim::Slice::npos) {
+    on_line(sim::Slice{data.data() + start, nl - start}, data.substr(nl + 1));
+    start = nl + 1;
+  }
+  if (data.data() == buffer_.data()) {
+    buffer_.erase(0, start);
+  } else if (start < data.size()) {
+    buffer_.assign(data.data() + start, data.size() - start);
   }
 }
 
-void DbClient::on_line(const std::string& line) {
-  if (rows_expected_ > 0) {
-    partial_.rows.push_back(split_fields(line));
-    if (--rows_expected_ == 0 && !pending_.empty()) {
+void DbClient::on_line(sim::Slice line, sim::Slice ahead) {
+  if (!partial_.rows.complete()) {
+    partial_.rows.append(line);
+    if (partial_.rows.complete() && !pending_.empty()) {
       auto cb = std::move(pending_.front());
       pending_.pop_front();
       cb(std::move(partial_));
@@ -537,21 +566,19 @@ void DbClient::on_line(const std::string& line) {
   if (pending_.empty()) return;  // stray line
 
   Result r;
-  if (sim::starts_with(line, "OK")) {
+  if (line.starts_with("OK")) {
     r.ok = true;
-    if (line.size() > 3) {
-      r.txn = std::strtoull(line.c_str() + 3, nullptr, 10);
-    }
-  } else if (sim::starts_with(line, "ROWS ")) {
+    if (line.size() > 3) r.txn = parse_u64(line.substr(3));
+  } else if (line.starts_with("ROWS ")) {
     r.ok = true;
-    const int n = std::atoi(line.c_str() + 5);
+    const std::uint64_t n = parse_u64(line.substr(5));
     if (n > 0) {
       partial_ = std::move(r);
-      rows_expected_ = n;
+      partial_.rows.start(n, ahead);
       return;  // wait for the row lines
     }
   } else {
-    r.error = line;
+    r.error.assign(line.data(), line.size());
   }
   auto cb = std::move(pending_.front());
   pending_.pop_front();

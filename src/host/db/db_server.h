@@ -21,8 +21,82 @@ namespace mcs::host::db {
 // spaces, pipes and newlines.
 std::string esc(const std::string& s);
 std::string unesc(const std::string& s);
-std::string join_fields(const std::vector<std::string>& fields);  // '|'
-std::vector<std::string> split_fields(const std::string& s);
+
+// Numeric fields of a decoded row are the decimal text the server writes
+// (to_string() form); std::from_chars reads back the value atoll/atof
+// would, and an empty or malformed field reads as 0.
+std::int64_t int_field(sim::Slice f);
+double real_field(sim::Slice f);
+
+// The rows of one "ROWS n" answer, decoded once. Every field is unescaped
+// into one owned buffer and addressed by offsets (not Slices: moving a
+// Rows moves its string, which relocates a small-string buffer), so a
+// Result moves through callbacks without a fix-up. Fields read back as
+// views that live as long as the Rows.
+class Rows {
+ public:
+  // One row: a view over its fields.
+  class Row {
+   public:
+    std::size_t size() const { return end_ - first_; }
+    bool empty() const { return end_ == first_; }
+    sim::Slice operator[](std::size_t j) const {
+      MCS_ASSERT(j < size(), "field index past the end of the row");
+      return rows_->field(first_ + j);
+    }
+
+   private:
+    friend class Rows;
+    Row(const Rows* rows, std::uint32_t first, std::uint32_t end)
+        : rows_{rows}, first_{first}, end_{end} {}
+    const Rows* rows_ = nullptr;
+    std::uint32_t first_ = 0;  // index of the row's first field
+    std::uint32_t end_ = 0;    // one past its last field
+  };
+  class iterator {
+   public:
+    Row operator*() const { return (*rows_)[i_]; }
+    iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    bool operator==(const iterator& o) const { return i_ == o.i_; }
+
+   private:
+    friend class Rows;
+    iterator(const Rows* rows, std::size_t i) : rows_{rows}, i_{i} {}
+    const Rows* rows_ = nullptr;
+    std::size_t i_ = 0;
+  };
+
+  std::size_t size() const { return rows_.empty() ? 0 : rows_.size() - 1; }
+  bool empty() const { return size() == 0; }
+  Row operator[](std::size_t i) const {
+    MCS_ASSERT(i < size(), "row index past the end of the answer");
+    return Row{this, rows_[i], rows_[i + 1]};
+  }
+  iterator begin() const { return iterator{this, 0}; }
+  iterator end() const { return iterator{this, size()}; }
+
+ private:
+  friend class DbClient;
+  // Expect `n` rows and reserve storage from `ahead`, the received data
+  // after the "ROWS n" line: only as much as bytes already received can
+  // hold, never a count read off the wire alone.
+  void start(std::size_t n, sim::Slice ahead);
+  // Unescape one wire row ("<f1>|<f2>|...") onto the end of the answer.
+  void append(sim::Slice line);
+  bool complete() const { return size() == declared_; }
+
+  sim::Slice field(std::uint32_t k) const {
+    return sim::Slice{text_.data() + fields_[k], fields_[k + 1] - fields_[k]};
+  }
+
+  std::string text_;                   // all fields' bytes, back to back
+  std::vector<std::uint32_t> fields_;  // field boundaries in text_, from 0
+  std::vector<std::uint32_t> rows_;    // row boundaries in fields_, from 0
+  std::size_t declared_ = 0;           // n from the "ROWS n" header
+};
 
 // Durability policy for commits (ablation bench: WAL sync cost).
 enum class SyncPolicy {
@@ -92,12 +166,11 @@ class DbServer {
                std::string&& msg);
   void respond_commit(const std::shared_ptr<Connection>& conn,
                       const Slot& slot, std::string&& msg);
+  // Answer "ROWS n" plus the rows `visit(fn)` passes to `fn`, encoded
+  // straight from the table (GET, FINDBY and SCAN alike).
+  template <typename Visit>
   void respond_rows(const std::shared_ptr<Connection>& conn, const Slot& slot,
-                    const std::vector<Row>& rows);
-  // GET answers with zero or one row; serializing it directly skips the
-  // single-element std::vector<Row> the generic path would materialize.
-  void respond_row(const std::shared_ptr<Connection>& conn, const Slot& slot,
-                   const Row* r);
+                    const Visit& visit);
 
   transport::TcpStack& stack_;
   Database& db_;
@@ -126,7 +199,7 @@ class DbClient {
     bool ok = false;
     std::string error;
     std::uint64_t txn = 0;  // for begin()
-    std::vector<std::vector<std::string>> rows;
+    Rows rows;
   };
   using Callback = std::function<void(Result)>;
 
@@ -153,9 +226,14 @@ class DbClient {
   const sim::StatsRegistry& stats() const { return stats_; }
 
  private:
+  friend struct DbClientTestPeer;  // feeds on_data() directly in tests
+
   void send_command(std::string&& line, Callback cb);
+  // Lines are scanned as views over the segment, with a carry buffer only
+  // for a partial tail (the DbServer::on_accept pattern); `ahead` is the
+  // data after `line`, which sizes a ROWS answer's storage.
   void on_data(const std::string& bytes);
-  void on_line(const std::string& line);
+  void on_line(sim::Slice line, sim::Slice ahead);
   void fail_all(const std::string& why);
 
   transport::TcpStack& stack_;
@@ -163,8 +241,8 @@ class DbClient {
   transport::TcpSocket::Ptr socket_;
   std::string buffer_;
   std::deque<Callback> pending_;
-  // Multi-line response assembly.
-  int rows_expected_ = 0;
+  // Multi-line response assembly: rows arrive while partial_.rows is
+  // incomplete.
   Result partial_;
   sim::StatsRegistry stats_;
 };

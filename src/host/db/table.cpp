@@ -1,7 +1,5 @@
 #include "host/db/table.h"
 
-#include <iterator>
-
 #include "sim/contract.h"
 
 namespace mcs::host::db {
@@ -116,33 +114,18 @@ const Row* Table::find(const Value& pk) const {
 
 std::vector<Row> Table::scan(
     const std::function<bool(const Row&)>& predicate) const {
-  // One upfront allocation sized for the worst case, trimmed after the
-  // fill: no doubling-growth churn while the predicate runs.
   std::vector<Row> out;
-  out.resize(slots_.size());
-  std::size_t n = 0;
-  for (const auto& s : slots_) {
-    if (s.live && predicate(s.row)) out[n++] = s.row;
-  }
-  out.resize(n);
+  out.reserve(live_rows_);
+  each([&](const Row& r) {
+    if (predicate(r)) out.push_back(r);
+  });
   return out;
 }
 
 std::vector<Row> Table::find_by(std::size_t col, const Value& v) const {
-  if (col == pk_col_) {
-    const Row* r = find(v);
-    return r == nullptr ? std::vector<Row>{} : std::vector<Row>{*r};
-  }
-  auto idx = indexes_.find(col);
-  if (idx != indexes_.end()) {
-    auto [lo, hi] = idx->second.equal_range(v);
-    std::vector<Row> out;
-    out.resize(static_cast<std::size_t>(std::distance(lo, hi)));
-    std::size_t n = 0;
-    for (auto it = lo; it != hi; ++it) out[n++] = slots_[it->second].row;
-    return out;
-  }
-  return scan([&](const Row& r) { return value_eq(r[col], v); });
+  std::vector<Row> out;
+  each_by(col, v, [&](const Row& r) { out.push_back(r); });
+  return out;
 }
 
 void Table::create_index(std::size_t col) {

@@ -31,6 +31,20 @@ class Table {
 
   // --- Queries ---------------------------------------------------------------
   const Row* find(const Value& pk) const;
+  // Visitors: call `fn(const Row&)` on each matching row in place, with no
+  // copy. each() visits every live row in slot order; each_by() visits the
+  // rows equal to `v` on `col` (primary key, then a secondary index, then a
+  // slot-order scan). The copying queries below are built on them, so both
+  // forms see the same rows in the same order.
+  template <typename Fn>
+  void each(Fn&& fn) const {
+    for (const Slot& s : slots_) {
+      if (s.live) fn(s.row);
+    }
+  }
+  template <typename Fn>
+  void each_by(std::size_t col, const Value& v, Fn&& fn) const;
+
   std::vector<Row> scan(
       const std::function<bool(const Row&)>& predicate) const;
   std::vector<Row> all() const { return scan([](const Row&) { return true; }); }
@@ -72,5 +86,21 @@ class Table {
   std::map<std::size_t, Index> indexes_;  // col -> index
   std::size_t live_rows_ = 0;
 };
+
+template <typename Fn>
+void Table::each_by(std::size_t col, const Value& v, Fn&& fn) const {
+  if (col == pk_col_) {
+    if (const Row* r = find(v); r != nullptr) fn(*r);
+    return;
+  }
+  if (auto idx = indexes_.find(col); idx != indexes_.end()) {
+    auto [lo, hi] = idx->second.equal_range(v);
+    for (auto it = lo; it != hi; ++it) fn(slots_[it->second].row);
+    return;
+  }
+  each([&](const Row& r) {
+    if (value_eq(r[col], v)) fn(r);
+  });
+}
 
 }  // namespace mcs::host::db

@@ -1,9 +1,9 @@
 #include "host/db/value.h"
 
+#include <charconv>
 #include <cstdlib>
 
 #include "sim/arena.h"
-#include "sim/util.h"
 
 namespace mcs::host::db {
 
@@ -16,13 +16,26 @@ ValueType type_of(const Value& v) {
 }
 
 std::string to_string(const Value& v) {
+  if (const auto* text = std::get_if<std::string>(&v)) return *text;
+  return sim::build(16, [&](std::string& out) {
+    sim::BufWriter w{out};
+    append_value(w, v);
+  });
+}
+
+void append_value(sim::BufWriter& w, const Value& v) {
   switch (v.index()) {
-    case 0: return sim::cat(sim::i64s(std::get<std::int64_t>(v)));
-    case 1:
-      return sim::build(16, [&](std::string& out) {
-        sim::BufWriter{out}.f("%.6g", std::get<double>(v));
-      });
-    default: return std::get<std::string>(v);
+    case 0: w.i64(std::get<std::int64_t>(v)); break;
+    case 1: {
+      // Longest "%.6g" rendering is "-1.23457e+308" (13 bytes).
+      char buf[32];
+      const auto res = std::to_chars(buf, buf + sizeof(buf),
+                                     std::get<double>(v),
+                                     std::chars_format::general, 6);
+      w.put(sim::Slice{buf, static_cast<std::size_t>(res.ptr - buf)});
+      break;
+    }
+    default: w.put(std::get<std::string>(v));
   }
 }
 

@@ -5,6 +5,8 @@
 #include <variant>
 #include <vector>
 
+#include "sim/arena.h"
+
 namespace mcs::host::db {
 
 // A typed cell value. Text values are real strings; the database is used
@@ -15,6 +17,11 @@ enum class ValueType { kInt, kReal, kText };
 
 ValueType type_of(const Value& v);
 std::string to_string(const Value& v);
+// Append the to_string() form of `v` through `w`: ints in decimal, reals as
+// "%.6g" (std::to_chars general/6, byte-identical by definition), text
+// verbatim. The one formatter behind to_string, the WAL and the DbServer
+// wire rows.
+void append_value(sim::BufWriter& w, const Value& v);
 // Parse `s` as the given type ("42", "3.5", free text).
 Value parse_value(const std::string& s, ValueType type);
 

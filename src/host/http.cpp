@@ -327,24 +327,26 @@ std::size_t CookieJar::size() const {
 }
 
 std::optional<ParsedUrl> parse_url(const std::string& url) {
-  std::string rest = url;
-  if (sim::starts_with(rest, "http://")) rest = rest.substr(7);
+  sim::Slice rest = url;
+  if (rest.starts_with("http://")) rest.remove_prefix(7);
   if (rest.empty()) return std::nullopt;
-  ParsedUrl out;
   const std::size_t slash = rest.find('/');
-  std::string hostport = slash == std::string::npos ? rest
-                                                    : rest.substr(0, slash);
-  out.path = slash == std::string::npos ? "/" : rest.substr(slash);
+  const sim::Slice hostport = rest.substr(0, slash);
   const std::size_t colon = hostport.find(':');
-  if (colon != std::string::npos) {
-    out.host = hostport.substr(0, colon);
-    const int port = std::atoi(hostport.c_str() + colon + 1);
+  int port = 80;
+  if (colon != sim::Slice::npos) {
+    // atoi over the rest of `url`: the port digits end where hostport does
+    // (at '/' or at the terminating NUL), so this reads what atoi over a
+    // hostport copy would.
+    port = std::atoi(hostport.data() + colon + 1);
     if (port <= 0 || port > 65535) return std::nullopt;
-    out.port = static_cast<std::uint16_t>(port);
-  } else {
-    out.host = hostport;
   }
-  if (out.host.empty()) return std::nullopt;
+  const sim::Slice host = hostport.substr(0, colon);
+  if (host.empty()) return std::nullopt;
+  ParsedUrl out;
+  out.host.assign(host);
+  out.port = static_cast<std::uint16_t>(port);
+  if (slash != sim::Slice::npos) out.path.assign(rest.substr(slash));
   return out;
 }
 

@@ -69,7 +69,7 @@ TEST(McSystemTest, DynamicRouteHitsDatabaseServer) {
                     [respond](host::db::DbClient::Result r) mutable {
           respond(host::HttpResponse::make(
               200, "text/html",
-              "<p>" + (r.ok && !r.rows.empty() ? r.rows[0][1]
+              "<p>" + (r.ok && !r.rows.empty() ? std::string{r.rows[0][1]}
                                                : std::string{"?"}) +
                   "</p>"));
         });

@@ -2,18 +2,253 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "net/network.h"
 #include "sim/util.h"
 
 namespace mcs::host::db {
+
+// Drives DbClient's receive path directly, bypassing the socket, so a test
+// controls exactly how the server's bytes are segmented.
+struct DbClientTestPeer {
+  static void feed(DbClient& c, const std::string& bytes) { c.on_data(bytes); }
+};
+
 namespace {
+
+// A DbClient with no server behind it: each queued command leaves a
+// pending callback, and answers are fed straight into on_data().
+struct ClientHarness {
+  ClientHarness() : network{sim, 7} {
+    net::Node* app = network.add_node("app");
+    net::Node* dbhost = network.add_node("dbhost");
+    network.connect(app, dbhost);
+    network.compute_routes();
+    tcp = std::make_unique<transport::TcpStack>(*app);
+    client = std::make_unique<DbClient>(
+        *tcp, net::Endpoint{dbhost->addr(), 5432});
+  }
+
+  // Queue `answers` commands, feed `chunks` in order, and return the
+  // results in answer order.
+  std::vector<DbClient::Result> run(std::size_t answers,
+                                    const std::vector<std::string>& chunks) {
+    std::vector<DbClient::Result> out;
+    for (std::size_t i = 0; i < answers; ++i) {
+      client->scan("t", [&out](DbClient::Result r) {
+        out.push_back(std::move(r));
+      });
+    }
+    for (const auto& chunk : chunks) DbClientTestPeer::feed(*client, chunk);
+    return out;
+  }
+
+  sim::Simulator sim;
+  net::Network network;
+  std::unique_ptr<transport::TcpStack> tcp;
+  std::unique_ptr<DbClient> client;
+};
+
+std::string join_escaped(const std::vector<std::string>& fields) {
+  std::string out;
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (i > 0) out += '|';
+    out += esc(fields[i]);
+  }
+  return out;
+}
 
 TEST(DbProtocolTest, EscapingRoundTrips) {
   const std::string nasty = "a b|c%d\ne";
   EXPECT_EQ(unesc(esc(nasty)), nasty);
   EXPECT_EQ(esc("plain"), "plain");
   const std::vector<std::string> fields{"x y", "1|2", "z"};
-  EXPECT_EQ(split_fields(join_fields(fields)), fields);
+  ClientHarness h;
+  const auto got = h.run(1, {"ROWS 1\n" + join_escaped(fields) + "\n"});
+  ASSERT_EQ(got.size(), 1u);
+  ASSERT_EQ(got[0].rows.size(), 1u);
+  const auto row = got[0].rows[0];
+  ASSERT_EQ(row.size(), fields.size());
+  for (std::size_t j = 0; j < fields.size(); ++j) EXPECT_EQ(row[j], fields[j]);
+}
+
+// --- Differential oracle: the decoder Rows replaced ---------------------------
+// A line-at-a-time copy of the original client: substr each line, split it
+// with split_fields, and unescape one character at a time with strtol.
+
+std::string oracle_unesc(const std::string& s) {
+  std::string out;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (s[i] == '%' && i + 2 < s.size()) {
+      out += static_cast<char>(std::strtol(s.substr(i + 1, 2).c_str(),
+                                           nullptr, 16));
+      i += 2;
+    } else {
+      out += s[i];
+    }
+  }
+  return out;
+}
+
+std::vector<std::string> split_fields(const std::string& s) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  for (std::size_t i = 0; i <= s.size(); ++i) {
+    if (i == s.size() || s[i] == '|') {
+      out.push_back(oracle_unesc(s.substr(start, i - start)));
+      start = i + 1;
+    }
+  }
+  return out;
+}
+
+struct OracleResult {
+  bool ok = false;
+  std::string error;
+  std::uint64_t txn = 0;
+  std::vector<std::vector<std::string>> rows;
+};
+
+// Decode a whole answer stream, one pending command per answer.
+std::vector<OracleResult> oracle_decode(const std::string& wire) {
+  std::vector<OracleResult> out;
+  OracleResult partial;
+  int rows_expected = 0;
+  std::size_t start = 0;
+  std::size_t nl;
+  while ((nl = wire.find('\n', start)) != std::string::npos) {
+    const std::string line = wire.substr(start, nl - start);
+    start = nl + 1;
+    if (rows_expected > 0) {
+      partial.rows.push_back(split_fields(line));
+      if (--rows_expected == 0) out.push_back(std::move(partial));
+      continue;
+    }
+    OracleResult r;
+    if (line.rfind("OK", 0) == 0) {
+      r.ok = true;
+      if (line.size() > 3) r.txn = std::strtoull(line.c_str() + 3, nullptr, 10);
+    } else if (line.rfind("ROWS ", 0) == 0) {
+      r.ok = true;
+      const int n = std::atoi(line.c_str() + 5);
+      if (n > 0) {
+        partial = std::move(r);
+        partial.rows.clear();
+        rows_expected = n;
+        continue;
+      }
+    } else {
+      r.error = line;
+    }
+    out.push_back(std::move(r));
+  }
+  return out;
+}
+
+void expect_same(const std::vector<DbClient::Result>& got,
+                 const std::vector<OracleResult>& want,
+                 const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t a = 0; a < want.size(); ++a) {
+    EXPECT_EQ(got[a].ok, want[a].ok) << where << " answer " << a;
+    EXPECT_EQ(got[a].error, want[a].error) << where << " answer " << a;
+    EXPECT_EQ(got[a].txn, want[a].txn) << where << " answer " << a;
+    ASSERT_EQ(got[a].rows.size(), want[a].rows.size())
+        << where << " answer " << a;
+    std::size_t i = 0;
+    for (const auto& row : got[a].rows) {  // range-for over row views
+      const auto& expect = want[a].rows[i];
+      ASSERT_EQ(row.size(), expect.size())
+          << where << " answer " << a << " row " << i;
+      for (std::size_t j = 0; j < expect.size(); ++j) {
+        EXPECT_EQ(row[j], expect[j])
+            << where << " answer " << a << " row " << i << " field " << j;
+      }
+      ++i;
+    }
+  }
+}
+
+// Answer streams covering escapes, empty fields and lines, malformed
+// escapes, 0-row answers and several answers pipelined in one segment.
+const std::vector<std::string>& wire_cases() {
+  static const std::vector<std::string> cases{
+      // Every escape the server writes; empty fields, a trailing '|', an
+      // empty row line.
+      "ROWS 3\nProduct%2012|a%7Cb|100%25|line%0Abreak\n|x||\n\n",
+      // Malformed escapes keep strtol semantics: a '%' in the last two
+      // characters stays literal, "%zz" decodes to NUL, "%4z" to 4.
+      "ROWS 4\nab%4\n%zz|%4z|% 4|%-1\n%|%%|%%41|tail%\n%0a%0A%7c%7C\n",
+      // 0-row answers, errors, txn ids, a stray empty response line.
+      "ROWS 0\nOK 42\nERR no-table\nOK\n\nROWS 0\n",
+      // Several answers pipelined back to back.
+      "OK 1\nROWS 1\na\nROWS 2\nb|c\nd\nERR bad-command\nROWS 1\n"
+      "24|Product%2024|books|81.99|100\nOK 7\n",
+  };
+  return cases;
+}
+
+TEST(DbRowsDecoderTest, MatchesSplitFieldsOracle) {
+  for (const auto& wire : wire_cases()) {
+    const auto want = oracle_decode(wire);
+    ClientHarness h;
+    expect_same(h.run(want.size(), {wire}), want, "whole: " + wire);
+  }
+  // All cases in one segment: the pipelined stream decodes the same.
+  std::string all;
+  for (const auto& wire : wire_cases()) all += wire;
+  const auto want = oracle_decode(all);
+  ClientHarness h;
+  expect_same(h.run(want.size(), {all}), want, "concatenated");
+}
+
+TEST(DbRowsDecoderTest, EverySplitPointDecodesTheSame) {
+  std::string all;
+  for (const auto& wire : wire_cases()) all += wire;
+  const auto want = oracle_decode(all);
+  ClientHarness h;
+  for (std::size_t k = 0; k <= all.size(); ++k) {
+    expect_same(h.run(want.size(), {all.substr(0, k), all.substr(k)}), want,
+                "split at " + std::to_string(k));
+  }
+}
+
+TEST(DbRowsDecoderTest, ViewsSurviveMovesAndCopies) {
+  // Short fields keep the text in the string's inline buffer, which moves
+  // with the object: offsets, not pointers, must address it.
+  ClientHarness h;
+  auto got = h.run(1, {"ROWS 2\na|b\nc\n"});
+  ASSERT_EQ(got.size(), 1u);
+  DbClient::Result moved = std::move(got[0]);
+  const DbClient::Result copied = moved;
+  DbClient::Result reassigned;
+  reassigned = std::move(moved);
+  for (const DbClient::Result* r :
+       {&copied, static_cast<const DbClient::Result*>(&reassigned)}) {
+    ASSERT_EQ(r->rows.size(), 2u);
+    EXPECT_EQ(r->rows[0][0], "a");
+    EXPECT_EQ(r->rows[0][1], "b");
+    EXPECT_EQ(r->rows[1][0], "c");
+    EXPECT_FALSE(r->rows[1].empty());
+  }
+}
+
+TEST(DbRowsDecoderTest, HugeRowCountSizesNothingFromTheWire) {
+  // Storage is reserved from bytes received, never from the header's n.
+  ClientHarness h;
+  const auto got = h.run(1, {"ROWS 18446744073709551615\na|b\n"});
+  EXPECT_TRUE(got.empty());  // still waiting for the remaining rows
+}
+
+TEST(DbRowsDecoderTest, NumericFieldsReadLikeAtollAndAtof) {
+  for (const char* text : {"0", "42", "-7", "9223372036854775807", ""}) {
+    EXPECT_EQ(int_field(text), std::atoll(text)) << text;
+  }
+  for (const char* text : {"0", "12.99", "81.99", "1e+06", "-2.5e-05", "100",
+                           "18.99", ""}) {
+    EXPECT_EQ(real_field(text), std::atof(text)) << text;
+  }
 }
 
 struct DbNetFixture : public ::testing::Test {

@@ -147,6 +147,72 @@ TEST(TableTest, SlotReuseAfterErase) {
   EXPECT_EQ(t->size(), 0u);
 }
 
+// Primary keys of `rows`, in order.
+std::vector<std::int64_t> pks(const std::vector<Row>& rows) {
+  std::vector<std::int64_t> out;
+  for (const auto& r : rows) out.push_back(std::get<std::int64_t>(r[0]));
+  return out;
+}
+
+TEST(TableTest, VisitorsMatchCopyingQueries) {
+  auto db_ptr = make_shop();
+  Table* t = db_ptr->table("products");
+  t->create_index(1);  // name: duplicates, kept in insertion order
+  for (int i = 1; i <= 8; ++i) {
+    ASSERT_TRUE(t->insert({std::int64_t{i}, sim::strf("cat%d", i % 3),
+                           1.0 * i, std::int64_t{i % 2}}));
+  }
+  // Erase then insert: the free list is LIFO, so 9 takes 5's slot and 10
+  // takes 2's, and slot order no longer matches key or insertion order.
+  ASSERT_TRUE(t->erase(Value{std::int64_t{2}}));
+  ASSERT_TRUE(t->erase(Value{std::int64_t{5}}));
+  ASSERT_TRUE(t->insert({std::int64_t{9}, std::string{"cat0"}, 9.0,
+                         std::int64_t{1}}));
+  ASSERT_TRUE(t->insert({std::int64_t{10}, std::string{"cat1"}, 10.0,
+                         std::int64_t{0}}));
+
+  auto visit_all = [&] {
+    std::vector<Row> out;
+    t->each([&](const Row& r) { out.push_back(r); });
+    return out;
+  };
+  auto visit_by = [&](std::size_t col, const Value& v) {
+    std::vector<Row> out;
+    t->each_by(col, v, [&](const Row& r) { out.push_back(r); });
+    return out;
+  };
+
+  EXPECT_EQ(pks(visit_all()),
+            (std::vector<std::int64_t>{1, 10, 3, 4, 9, 6, 7, 8}));
+  EXPECT_EQ(visit_all(), t->all());
+
+  // Primary-key column: zero or one row.
+  const Value nine{std::int64_t{9}};
+  const Value two{std::int64_t{2}};
+  EXPECT_EQ(pks(visit_by(0, nine)), (std::vector<std::int64_t>{9}));
+  EXPECT_EQ(visit_by(0, nine), t->find_by(0, nine));
+  EXPECT_TRUE(visit_by(0, two).empty());
+  EXPECT_TRUE(t->find_by(0, two).empty());
+
+  // Indexed column with duplicates: index order, not slot order.
+  const Value cat1{std::string{"cat1"}};
+  EXPECT_EQ(pks(visit_by(1, cat1)), (std::vector<std::int64_t>{1, 4, 7, 10}));
+  EXPECT_EQ(visit_by(1, cat1), t->find_by(1, cat1));
+  ASSERT_TRUE(t->update(Value{std::int64_t{3}}, 1, cat1));
+  EXPECT_EQ(pks(visit_by(1, cat1)),
+            (std::vector<std::int64_t>{1, 4, 7, 10, 3}));
+  EXPECT_EQ(visit_by(1, cat1), t->find_by(1, cat1));
+
+  // Unindexed column: slot-order scan fallback.
+  const Value even{std::int64_t{0}};
+  EXPECT_FALSE(t->has_index(3));
+  EXPECT_EQ(pks(visit_by(3, even)), (std::vector<std::int64_t>{10, 4, 6, 8}));
+  EXPECT_EQ(visit_by(3, even), t->find_by(3, even));
+  const Value price{6.0};
+  EXPECT_EQ(pks(visit_by(2, price)), (std::vector<std::int64_t>{6}));
+  EXPECT_EQ(visit_by(2, price), t->find_by(2, price));
+}
+
 TEST(TransactionTest, CommitPersists) {
   auto db_ptr = make_shop();
   Database& db = *db_ptr;

@@ -162,6 +162,27 @@ TEST_F(WebFixture, QueryParamHelpers) {
   EXPECT_EQ(path_without_query("/buy"), "/buy");
 }
 
+// Edge cases pinned to the outputs of the original split-and-substr
+// implementation, so the view-based scan stays a drop-in replacement.
+TEST(QueryParamTest, EdgeCasesMatchSplitSemantics) {
+  EXPECT_EQ(query_param("/buy&item=5", "item"), "");  // no '?'
+  EXPECT_EQ(query_param("/buy?", "item"), "");        // empty query
+  EXPECT_EQ(query_param("/x?username=bob&user=al", "user"), "al");
+  EXPECT_EQ(query_param("/x?username=bob&user=al", "username"), "bob");
+  EXPECT_EQ(query_param("/x?username=bob", "user"), "");
+  EXPECT_EQ(query_param("/x?k=1&k=2", "k"), "1");  // first wins
+  EXPECT_EQ(query_param("/x?flag&k=v", "flag"), "");  // no '='
+  EXPECT_EQ(query_param("/x?flag&k=v", "k"), "v");
+  EXPECT_EQ(query_param("/x?k=&j=2", "k"), "");  // empty value
+  EXPECT_EQ(query_param("/x?k=&j=2", "j"), "2");
+  EXPECT_EQ(query_param("/x?a=1&&b=2", "b"), "2");  // '&&'
+  EXPECT_EQ(query_param("/x?a=1&", "a"), "1");      // trailing '&'
+  EXPECT_EQ(query_param("/x?a=1&", ""), "");
+  EXPECT_EQ(query_param("/x?=v", ""), "v");  // empty key matches "=v"
+  EXPECT_EQ(query_param("/x?k=a=b", "k"), "a=b");
+  EXPECT_EQ(query_param("/x?k=1?j=2", "k"), "1?j=2");
+}
+
 TEST_F(WebFixture, PipelinedResponsesStayInRequestOrder) {
   // Regression: a slow async handler followed by a fast static hit must not
   // let the fast response overtake the slow one on the shared connection.

@@ -131,5 +131,48 @@ TEST(UrlTest, RejectsGarbage) {
   EXPECT_FALSE(parse_url("host:99999/x").has_value());
 }
 
+// Edge cases pinned to the outputs of the original substr-chain parser;
+// the port keeps atoi semantics (leading blanks skipped, trailing junk
+// ignored, out-of-range rejected).
+TEST(UrlTest, EdgeCasesMatchAtoiSemantics) {
+  EXPECT_FALSE(parse_url("http://").has_value());
+  EXPECT_FALSE(parse_url("host:0").has_value());
+  EXPECT_FALSE(parse_url("host:65536").has_value());
+  EXPECT_FALSE(parse_url("host:-1").has_value());
+  EXPECT_FALSE(parse_url("host:/x").has_value());
+  EXPECT_FALSE(parse_url(":80/x").has_value());  // no host
+  EXPECT_FALSE(parse_url("http://http://x").has_value());  // port ""
+  EXPECT_FALSE(parse_url("HTTP://host/x").has_value());    // case-sensitive
+
+  auto u = parse_url("host:8080");
+  ASSERT_TRUE(u.has_value());
+  EXPECT_EQ(u->host, "host");
+  EXPECT_EQ(u->port, 8080);
+  EXPECT_EQ(u->path, "/");
+
+  u = parse_url("host:65535/a");
+  ASSERT_TRUE(u.has_value());
+  EXPECT_EQ(u->port, 65535);
+  EXPECT_EQ(u->path, "/a");
+
+  u = parse_url("host:80abc");
+  ASSERT_TRUE(u.has_value());
+  EXPECT_EQ(u->host, "host");
+  EXPECT_EQ(u->port, 80);
+  EXPECT_EQ(u->path, "/");
+
+  u = parse_url("http://host: 8080/x/y");
+  ASSERT_TRUE(u.has_value());
+  EXPECT_EQ(u->host, "host");
+  EXPECT_EQ(u->port, 8080);
+  EXPECT_EQ(u->path, "/x/y");
+
+  u = parse_url("http://h/");
+  ASSERT_TRUE(u.has_value());
+  EXPECT_EQ(u->host, "h");
+  EXPECT_EQ(u->port, 80);
+  EXPECT_EQ(u->path, "/");
+}
+
 }  // namespace
 }  // namespace mcs::host
