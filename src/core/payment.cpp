@@ -53,16 +53,16 @@ HttpResponse PaymentProcessor::handle_prepare(const HttpRequest& req) {
   }
   if (completed_.contains(txn)) {
     // 2PC retry of a finished transaction: report the terminal state.
-    stats_.counter("duplicate_prepares").add();
+    stats_.counter(c_duplicate_prepares_).add();
     return HttpResponse::make(409, "text/plain", "txn-completed");
   }
   if (auto it = reservations_.find(txn); it != reservations_.end()) {
-    stats_.counter("duplicate_prepares").add();
+    stats_.counter(c_duplicate_prepares_).add();
     return HttpResponse::make(200, "text/plain", "VOTE-YES");  // idempotent
   }
   const host::db::Row* r = db_.table("accounts")->find(Value{account});
   if (r == nullptr) {
-    stats_.counter("votes_no").add();
+    stats_.counter(c_votes_no_).add();
     return HttpResponse::make(200, "text/plain", "VOTE-NO:no-account");
   }
   const double bal = std::get<double>((*r)[1]);
@@ -78,18 +78,18 @@ HttpResponse PaymentProcessor::handle_prepare(const HttpRequest& req) {
   double reserved = 0.0;
   for (const auto& [t, amount] : held) reserved += amount;
   if (bal - reserved < amount) {
-    stats_.counter("votes_no").add();
+    stats_.counter(c_votes_no_).add();
     return HttpResponse::make(200, "text/plain", "VOTE-NO:insufficient");
   }
   Reservation res;
   res.account = account;
   res.amount = amount;
   res.expiry = sim_.after(reservation_timeout_, [this, txn] {
-    stats_.counter("reservations_expired").add();
+    stats_.counter(c_reservations_expired_).add();
     release(txn);
   });
   reservations_[txn] = std::move(res);
-  stats_.counter("votes_yes").add();
+  stats_.counter(c_votes_yes_).add();
   return HttpResponse::make(200, "text/plain", "VOTE-YES");
 }
 
@@ -109,7 +109,7 @@ HttpResponse PaymentProcessor::handle_commit(const HttpRequest& req) {
   const double bal = r != nullptr ? std::get<double>((*r)[1]) : 0.0;
   db_.update("accounts", Value{res.account}, 1, Value{bal - res.amount});
   completed_.insert(txn);
-  stats_.counter("commits").add();
+  stats_.counter(c_commits_).add();
   return HttpResponse::make(200, "text/plain", "COMMITTED");
 }
 
@@ -117,7 +117,7 @@ HttpResponse PaymentProcessor::handle_abort(const HttpRequest& req) {
   const std::string txn = query_param(req.path, "txn");
   release(txn);
   completed_.insert(txn);
-  stats_.counter("aborts").add();
+  stats_.counter(c_aborts_).add();
   return HttpResponse::make(200, "text/plain", "ABORTED");
 }
 
@@ -149,7 +149,7 @@ void PaymentCoordinator::charge(const std::string& idempotency_key,
                                 const std::string& account, double amount,
                                 const std::string& item, Callback cb) {
   if (auto it = completed_.find(idempotency_key); it != completed_.end()) {
-    stats_.counter("idempotent_replays").add();
+    stats_.counter(c_idempotent_replays_).add();
     Outcome replay = it->second;
     replay.duplicate = true;
     cb(std::move(replay));
@@ -160,17 +160,17 @@ void PaymentCoordinator::charge(const std::string& idempotency_key,
     // than double-charge; the client will retry after the first completes.
     Outcome busy;
     busy.failure = "in-flight";
-    stats_.counter("concurrent_retries_rejected").add();
+    stats_.counter(c_concurrent_retries_rejected_).add();
     cb(std::move(busy));
     return;
   }
   in_flight_.insert(idempotency_key);
-  stats_.counter("charges_started").add();
+  stats_.counter(c_charges_started_).add();
 
   auto finish = [this, idempotency_key, cb = std::move(cb)](Outcome o) {
     in_flight_.erase(idempotency_key);
     if (o.ok || !o.failure.empty()) completed_[idempotency_key] = o;
-    stats_.counter(o.ok ? "charges_ok" : "charges_failed").add();
+    stats_.counter(o.ok ? c_charges_ok_ : c_charges_failed_).add();
     cb(std::move(o));
   };
 

@@ -62,6 +62,13 @@ class PaymentProcessor {
   std::unordered_map<std::string, Reservation> reservations_;
   std::unordered_set<std::string> completed_;  // committed or aborted txns
   sim::StatsRegistry stats_;
+  // Counter handles into stats_, resolved on first use (sim/stats.h).
+  sim::CounterHandle c_votes_yes_{"votes_yes"};
+  sim::CounterHandle c_votes_no_{"votes_no"};
+  sim::CounterHandle c_duplicate_prepares_{"duplicate_prepares"};
+  sim::CounterHandle c_reservations_expired_{"reservations_expired"};
+  sim::CounterHandle c_commits_{"commits"};
+  sim::CounterHandle c_aborts_{"aborts"};
 };
 
 // Merchant-side coordinator: drives the 2PC against the bank over HTTP and
@@ -98,6 +105,13 @@ class PaymentCoordinator {
   std::unordered_set<std::string> in_flight_;
   std::uint64_t next_order_ = 1;
   sim::StatsRegistry stats_;
+  // Counter handles into stats_, resolved on first use (sim/stats.h).
+  sim::CounterHandle c_charges_started_{"charges_started"};
+  sim::CounterHandle c_charges_ok_{"charges_ok"};
+  sim::CounterHandle c_charges_failed_{"charges_failed"};
+  sim::CounterHandle c_concurrent_retries_rejected_{
+      "concurrent_retries_rejected"};
+  sim::CounterHandle c_idempotent_replays_{"idempotent_replays"};
 };
 
 }  // namespace mcs::core

@@ -1,6 +1,7 @@
 #include "core/personalization.h"
 
 #include <algorithm>
+#include <string_view>
 
 namespace mcs::core {
 
@@ -24,7 +25,7 @@ std::vector<host::db::Row> PersonalizationEngine::personalize_catalog(
   const UserProfile* p = profile(user_id);
   if (p == nullptr) return rows;
 
-  auto interest_rank = [p](const std::string& category) -> std::size_t {
+  auto interest_rank = [p](std::string_view category) -> std::size_t {
     for (std::size_t i = 0; i < p->interests.size(); ++i) {
       if (p->interests[i] == category) return i;
     }
@@ -36,12 +37,14 @@ std::vector<host::db::Row> PersonalizationEngine::personalize_catalog(
     }
     return 0.0;
   };
-  auto category_of = [category_col](const host::db::Row& r) -> std::string {
-    if (category_col < r.size() &&
-        std::holds_alternative<std::string>(r[category_col])) {
-      return std::get<std::string>(r[category_col]);
+  // A view into the row: the sort compares categories without copying them.
+  auto category_of = [category_col](const host::db::Row& r) {
+    if (category_col < r.size()) {
+      if (const auto* c = std::get_if<std::string>(&r[category_col])) {
+        return std::string_view{*c};
+      }
     }
-    return "";
+    return std::string_view{};
   };
 
   // Filter by affordability, then stable-sort by (interest rank, price).

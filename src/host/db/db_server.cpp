@@ -208,7 +208,7 @@ DbServer::DbServer(transport::TcpStack& stack, std::uint16_t port,
 }
 
 void DbServer::on_accept(transport::TcpSocket::Ptr s) {
-  stats_.counter("connections").add();
+  stats_.counter(c_connections_).add();
   auto conn = std::make_shared<Connection>();
   conn->socket = std::move(s);
   conn->socket->on_data = [this, conn](const std::string& bytes) {
@@ -279,7 +279,7 @@ void DbServer::respond_commit(const std::shared_ptr<Connection>& conn,
                       [this, conn, slot, msg = std::move(msg)]() mutable {
                         complete(conn, slot, std::move(msg));
                       });
-      stats_.counter("fsyncs").add();
+      stats_.counter(c_fsyncs_).add();
       obs::metric_add(m_fsyncs_);
       obs::metric_record(m_wal_flush_us_,
                          (log_busy_until_ - stack_.sim().now()).to_micros());
@@ -295,11 +295,11 @@ void DbServer::respond_commit(const std::shared_ptr<Connection>& conn,
         log_busy_until_ = start + cfg_.fsync_delay;
         stack_.sim().at(log_busy_until_, [this] {
           group_timer_armed_ = false;
-          stats_.counter("fsyncs").add();
+          stats_.counter(c_fsyncs_).add();
           obs::metric_add(m_fsyncs_);
           auto batch = std::move(pending_commits_);
           pending_commits_.clear();
-          stats_.counter("group_commit_batches").add();
+          stats_.counter(c_group_commit_batches_).add();
           for (auto& [c, sl, m] : batch) complete(c, sl, std::move(m));
         });
       }
@@ -335,7 +335,7 @@ void DbServer::respond_rows(const std::shared_ptr<Connection>& conn,
 
 void DbServer::on_line(const std::shared_ptr<Connection>& conn,
                        sim::Slice line) {
-  stats_.counter("requests").add();
+  stats_.counter(c_requests_).add();
   obs::metric_add(m_requests_);
   Slot slot = std::make_shared<PendingResponse>();
   conn->outbox.push_back(slot);
@@ -375,7 +375,7 @@ void DbServer::on_line(const std::shared_ptr<Connection>& conn,
     }
     const bool ok = txn->commit();
     conn->txns.erase(id);
-    stats_.counter(ok ? "commits" : "commit_failures").add();
+    stats_.counter(ok ? c_commits_ : c_commit_failures_).add();
     respond_commit(conn, slot, ok ? "OK" : "ERR commit-failed");
     return;
   }
@@ -525,7 +525,7 @@ void DbClient::fail_all(const std::string& why) {
 }
 
 void DbClient::send_command(std::string&& line, Callback cb) {
-  stats_.counter("commands").add();
+  stats_.counter(c_commands_).add();
   pending_.push_back(std::move(cb));
   line += '\n';
   socket_->send(line);

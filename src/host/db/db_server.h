@@ -182,6 +182,13 @@ class DbServer {
   // The WAL lives on one log device: fsyncs serialize on it.
   sim::Time log_busy_until_;
   sim::StatsRegistry stats_;
+  // Counter handles into stats_, resolved on first use (sim/stats.h).
+  sim::CounterHandle c_connections_{"connections"};
+  sim::CounterHandle c_requests_{"requests"};
+  sim::CounterHandle c_commits_{"commits"};
+  sim::CounterHandle c_commit_failures_{"commit_failures"};
+  sim::CounterHandle c_fsyncs_{"fsyncs"};
+  sim::CounterHandle c_group_commit_batches_{"group_commit_batches"};
   // Telemetry handles, cached at construction (obs/metrics.h). WAL flush
   // latency is commit-observed: queueing behind the busy log device counts,
   // which is exactly what an SLO investigation needs to see.
@@ -245,6 +252,8 @@ class DbClient {
   // incomplete.
   Result partial_;
   sim::StatsRegistry stats_;
+  // Counter handles into stats_, resolved on first use (sim/stats.h).
+  sim::CounterHandle c_commands_{"commands"};
 };
 
 }  // namespace mcs::host::db

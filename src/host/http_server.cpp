@@ -45,8 +45,17 @@ const HttpServer::Route* HttpServer::match(const HttpRequest& req) const {
   return best;
 }
 
+sim::Counter& HttpServer::status_counter(int status) {
+  for (const auto& [code, counter] : c_status_) {
+    if (code == status) return *counter;
+  }
+  sim::Counter& counter = stats_.counter(sim::strf("status_%d", status));
+  c_status_.emplace_back(status, &counter);
+  return counter;
+}
+
 void HttpServer::on_accept(transport::TcpSocket::Ptr s) {
-  stats_.counter("connections").add();
+  stats_.counter(c_connections_).add();
   auto conn = std::make_shared<Connection>();
   conn->socket = std::move(s);
   // The parser lives inside Connection, so its callbacks must hold the
@@ -64,7 +73,7 @@ void HttpServer::on_accept(transport::TcpSocket::Ptr s) {
   conn->parser.on_error = [this, weak](const std::string&) {
     auto c = weak.lock();
     if (!c) return;
-    stats_.counter("parse_errors").add();
+    stats_.counter(c_parse_errors_).add();
     c->socket->send(HttpResponse::bad_request("malformed").serialize());
     c->socket->close();
   };
@@ -88,8 +97,8 @@ void HttpServer::flush_outbox(const std::shared_ptr<Connection>& conn) {
 
 void HttpServer::dispatch(const std::shared_ptr<Connection>& conn,
                           HttpRequest&& req) {
-  stats_.counter("requests").add();
-  stats_.counter("request_bytes").add(req.wire_size());
+  stats_.counter(c_requests_).add();
+  stats_.counter(c_request_bytes_).add(req.wire_size());
   obs::metric_add(m_requests_);
   const bool close_after =
       sim::to_lower(req.header("Connection")) == "close" ||
@@ -110,8 +119,8 @@ void HttpServer::dispatch(const std::shared_ptr<Connection>& conn,
     sim::BufWriter wire{slot->wire};
     resp.serialize_to(wire);
     slot->ready = true;
-    stats_.counter("response_bytes").add(slot->wire.size());
-    stats_.counter(sim::strf("status_%d", resp.status)).add();
+    stats_.counter(c_response_bytes_).add(slot->wire.size());
+    status_counter(resp.status).add();
     obs::end_span(req_ctx, stack_.sim().now());
     obs::ActiveScope scope{req_ctx};
     flush_outbox(conn);
@@ -170,13 +179,13 @@ std::shared_ptr<HttpClient::PooledConn> HttpClient::conn_for(
   auto conn = std::make_shared<PooledConn>();
   conn->parser = std::make_shared<HttpParser>(HttpParser::Mode::kResponse);
   conn->socket = stack_.connect(server);
-  stats_.counter("connections_opened").add();
+  stats_.counter(c_connections_opened_).add();
 
   std::weak_ptr<PooledConn> weak = conn;
   conn->parser->on_response = [this, weak](HttpResponse&& resp) {
     auto c = weak.lock();
     if (!c || c->waiters.empty()) return;
-    stats_.counter("responses").add();
+    stats_.counter(c_responses_).add();
     auto cb = std::move(c->waiters.front());
     c->waiters.pop_front();
     cb(std::move(resp));
@@ -195,7 +204,7 @@ std::shared_ptr<HttpClient::PooledConn> HttpClient::conn_for(
       pool_.erase(pit);
     }
     for (auto& cb : waiters) {
-      stats_.counter("failed_requests").add();
+      stats_.counter(c_failed_requests_).add();
       cb(std::nullopt);
     }
   };
@@ -215,7 +224,7 @@ void HttpClient::request(net::Endpoint server, HttpRequest req,
              "a request needs a method and a path");
   auto conn = conn_for(server);
   conn->waiters.push_back(std::move(cb));
-  stats_.counter("requests").add();
+  stats_.counter(c_requests_).add();
   conn->socket->send(req.serialize());
 }
 

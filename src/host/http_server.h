@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "host/http.h"
@@ -75,6 +76,7 @@ class HttpServer {
   void dispatch(const std::shared_ptr<Connection>& conn, HttpRequest&& req);
   void flush_outbox(const std::shared_ptr<Connection>& conn);
   const Route* match(const HttpRequest& req) const;
+  sim::Counter& status_counter(int status);
 
   transport::TcpStack& stack_;
   std::string server_name_;
@@ -86,6 +88,14 @@ class HttpServer {
   std::vector<Route> routes_;
   sim::Time processing_delay_;
   sim::StatsRegistry stats_;
+  // Counter handles into stats_, resolved on first use (sim/stats.h).
+  sim::CounterHandle c_connections_{"connections"};
+  sim::CounterHandle c_parse_errors_{"parse_errors"};
+  sim::CounterHandle c_requests_{"requests"};
+  sim::CounterHandle c_request_bytes_{"request_bytes"};
+  sim::CounterHandle c_response_bytes_{"response_bytes"};
+  // "status_<code>" counters, looked up by name once per distinct status.
+  std::vector<std::pair<int, sim::Counter*>> c_status_;
   // Telemetry handles, cached at construction (obs/metrics.h). Application
   // programs (dynamic routes) count separately under "application." so the
   // Figure-2 application bucket has its own throughput series.
@@ -130,6 +140,11 @@ class HttpClient {
   transport::TcpStack& stack_;
   std::unordered_map<net::Endpoint, std::shared_ptr<PooledConn>> pool_;
   sim::StatsRegistry stats_;
+  // Counter handles into stats_, resolved on first use (sim/stats.h).
+  sim::CounterHandle c_connections_opened_{"connections_opened"};
+  sim::CounterHandle c_requests_{"requests"};
+  sim::CounterHandle c_responses_{"responses"};
+  sim::CounterHandle c_failed_requests_{"failed_requests"};
 };
 
 }  // namespace mcs::host

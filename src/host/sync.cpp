@@ -9,7 +9,7 @@ SyncServer::SyncServer(transport::TcpStack& stack, std::uint16_t port,
                        EmbeddedDb& replica)
     : stack_{stack}, replica_{replica} {
   stack_.listen(port, [this](transport::TcpSocket::Ptr sock) {
-    stats_.counter("sessions").add();
+    stats_.counter(c_sessions_).add();
     auto s = std::make_shared<Session>();
     s->socket = std::move(sock);
     s->socket->on_data = [this, s](const std::string& bytes) {
@@ -52,12 +52,12 @@ void SyncServer::on_line(const std::shared_ptr<Session>& s,
     for (const auto& c : s->incoming) {
       if (replica_.apply_remote(c)) ++applied;
     }
-    stats_.counter("changes_applied").add(applied);
+    stats_.counter(c_changes_applied_).add(applied);
     std::string reply;
     for (const auto& c : outgoing) reply += c.encode() + "\n";
     reply += sim::strf("DONE %llu\n", static_cast<unsigned long long>(
                                           replica_.current_version()));
-    stats_.counter("changes_sent").add(outgoing.size());
+    stats_.counter(c_changes_sent_).add(outgoing.size());
     s->socket->send(reply);
     s->socket->close();
   }

@@ -40,6 +40,10 @@ class SyncServer {
   transport::TcpStack& stack_;
   EmbeddedDb& replica_;
   sim::StatsRegistry stats_;
+  // Counter handles into stats_, resolved on first use (sim/stats.h).
+  sim::CounterHandle c_sessions_{"sessions"};
+  sim::CounterHandle c_changes_applied_{"changes_applied"};
+  sim::CounterHandle c_changes_sent_{"changes_sent"};
 };
 
 // One client-initiated sync round; create per sync (cheap).

@@ -180,9 +180,7 @@ class Parser {
     }
     MarkupNode node;
     std::size_t i = 0;
-    while (i < inside.size() && !std::isspace(static_cast<unsigned char>(inside[i]))) {
-      ++i;
-    }
+    while (i < inside.size() && !sim::is_ascii_space(inside[i])) ++i;
     node.tag = sim::to_lower(inside.substr(0, i));
     if (node.tag.empty()) return;
     parse_attrs(inside.substr(i), node);
@@ -227,7 +225,7 @@ class Parser {
   void parse_attrs(const std::string& s, MarkupNode& node) {
     std::size_t i = 0;
     while (i < s.size()) {
-      while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
+      while (i < s.size() && sim::is_ascii_space(s[i])) ++i;
       if (i >= s.size()) break;
       const std::size_t name_start = i;
       while (i < s.size() && s[i] != '=' && s[i] != ' ' && s[i] != '\t' &&
@@ -236,12 +234,10 @@ class Parser {
       }
       std::string name = sim::to_lower(s.substr(name_start, i - name_start));
       std::string value;
-      while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
+      while (i < s.size() && sim::is_ascii_space(s[i])) ++i;
       if (i < s.size() && s[i] == '=') {
         ++i;
-        while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) {
-          ++i;
-        }
+        while (i < s.size() && sim::is_ascii_space(s[i])) ++i;
         if (i < s.size() && (s[i] == '"' || s[i] == '\'')) {
           const char q = s[i++];
           const std::size_t vstart = i;
@@ -250,10 +246,7 @@ class Parser {
           if (i < s.size()) ++i;
         } else {
           const std::size_t vstart = i;
-          while (i < s.size() &&
-                 !std::isspace(static_cast<unsigned char>(s[i]))) {
-            ++i;
-          }
+          while (i < s.size() && !sim::is_ascii_space(s[i])) ++i;
           value = s.substr(vstart, i - vstart);
         }
       }

@@ -16,12 +16,12 @@
 
 #include "middleware/translate.h"
 
-#include <cctype>
 #include <cstring>
 #include <type_traits>
 
 #include "middleware/wbxml.h"
 #include "sim/contract.h"
+#include "sim/util.h"
 
 namespace mcs::middleware {
 namespace {
@@ -29,18 +29,8 @@ namespace {
 using sim::Arena;
 using sim::BufWriter;
 using sim::Slice;
-
-bool is_space(char c) {
-  return std::isspace(static_cast<unsigned char>(c)) != 0;
-}
-
-Slice trim_ws(Slice s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && is_space(s[b])) ++b;
-  while (e > b && is_space(s[e - 1])) --e;
-  return Slice{s.data() + b, e - b};
-}
+using sim::is_ascii_space;
+using sim::trim_view;
 
 // Lowercased view: zero-copy when already lowercase (the common case for
 // machine-generated HTML), arena copy otherwise.
@@ -55,8 +45,7 @@ Slice lower_slice(Arena& arena, Slice s) {
   if (!has_upper) return s;
   char* dst = arena.alloc_chars(s.size());
   for (std::size_t i = 0; i < s.size(); ++i) {
-    dst[i] = static_cast<char>(
-        std::tolower(static_cast<unsigned char>(s[i])));
+    dst[i] = sim::ascii_lower(s[i]);
   }
   return Slice{dst, s.size()};
 }
@@ -232,13 +221,14 @@ class ViewParser {
     while (pos_ < src_.size() && src_[pos_] != '<') ++pos_;
     const Slice t = sub(start, pos_ - start);
     // Collapse pure-whitespace runs between tags; keep meaningful text.
-    if (trim_ws(t).empty()) return;
+    if (trim_view(t).empty()) return;
     add_child(top(), new_text(arena_, t));
   }
 
   void parse_tag() {
     // pos_ at '<'
-    if (src_.compare(pos_, 4, "<!--") == 0) {
+    if (pos_ + 3 < src_.size() && src_[pos_ + 1] == '!' &&
+        src_[pos_ + 2] == '-' && src_[pos_ + 3] == '-') {
       const std::size_t end = src_.find("-->", pos_);
       pos_ = end == Slice::npos ? src_.size() : end + 3;
       return;
@@ -253,7 +243,7 @@ class ViewParser {
       // End tag.
       const std::size_t end = src_.find('>', pos_);
       const Slice name =
-          lower_slice(arena_, trim_ws(sub(pos_ + 2, end - pos_ - 2)));
+          lower_slice(arena_, trim_view(sub(pos_ + 2, end - pos_ - 2)));
       pos_ = end == Slice::npos ? src_.size() : end + 1;
       close_tag(name);
       return;
@@ -272,10 +262,7 @@ class ViewParser {
       inside.remove_suffix(1);
     }
     std::size_t i = 0;
-    while (i < inside.size() &&
-           !std::isspace(static_cast<unsigned char>(inside[i]))) {
-      ++i;
-    }
+    while (i < inside.size() && !is_ascii_space(inside[i])) ++i;
     VNode* node = new_element(
         arena_, lower_slice(arena_, Slice{inside.data(), i}));
     if (node->tag.empty()) return;
@@ -319,9 +306,7 @@ class ViewParser {
   void parse_attrs(Slice s, VNode* node) {
     std::size_t i = 0;
     while (i < s.size()) {
-      while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) {
-        ++i;
-      }
+      while (i < s.size() && is_ascii_space(s[i])) ++i;
       if (i >= s.size()) break;
       const std::size_t name_start = i;
       while (i < s.size() && s[i] != '=' && s[i] != ' ' && s[i] != '\t' &&
@@ -331,15 +316,10 @@ class ViewParser {
       const Slice name = lower_slice(
           arena_, Slice{s.data() + name_start, i - name_start});
       Slice value;
-      while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) {
-        ++i;
-      }
+      while (i < s.size() && is_ascii_space(s[i])) ++i;
       if (i < s.size() && s[i] == '=') {
         ++i;
-        while (i < s.size() &&
-               std::isspace(static_cast<unsigned char>(s[i]))) {
-          ++i;
-        }
+        while (i < s.size() && is_ascii_space(s[i])) ++i;
         if (i < s.size() && (s[i] == '"' || s[i] == '\'')) {
           const char q = s[i++];
           const std::size_t vstart = i;
@@ -348,10 +328,7 @@ class ViewParser {
           if (i < s.size()) ++i;
         } else {
           const std::size_t vstart = i;
-          while (i < s.size() &&
-                 !std::isspace(static_cast<unsigned char>(s[i]))) {
-            ++i;
-          }
+          while (i < s.size() && !is_ascii_space(s[i])) ++i;
           value = Slice{s.data() + vstart, i - vstart};
         }
       }
@@ -411,7 +388,7 @@ Slice inner_text(Arena& arena, const VNode& n) {
 // trimmed inner text, else a <card>'s title attribute, else empty.
 Slice doc_title(Arena& arena, const VNode* parsed) {
   if (const VNode* t = find_first(parsed, "title"); t != nullptr) {
-    return trim_ws(inner_text(arena, *t));
+    return trim_view(inner_text(arena, *t));
   }
   if (const VNode* card = find_first(parsed, "card"); card != nullptr) {
     if (const VAttr* v = find_attr(card, "title"); v != nullptr) {
@@ -612,7 +589,7 @@ class Xlate {
     std::size_t line_len = 0;
     for (const VNode* cell = row.first; cell != nullptr; cell = cell->next) {
       if (cell->tag != "td" && cell->tag != "th") continue;
-      const Slice text = trim_ws(inner_text(arena_, *cell));
+      const Slice text = trim_view(inner_text(arena_, *cell));
       if (text.empty()) continue;
       line_len += (line_len != 0 ? 3 : 0) + text.size();  // " | " separators
     }
@@ -621,7 +598,7 @@ class Xlate {
     char* p = buf;
     for (const VNode* cell = row.first; cell != nullptr; cell = cell->next) {
       if (cell->tag != "td" && cell->tag != "th") continue;
-      const Slice text = trim_ws(inner_text(arena_, *cell));
+      const Slice text = trim_view(inner_text(arena_, *cell));
       if (text.empty()) continue;
       if (p != buf) {
         std::memcpy(p, " | ", 3);

@@ -1,8 +1,11 @@
 #include "middleware/wbxml.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <map>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "sim/arena.h"
@@ -23,60 +26,112 @@ constexpr std::uint8_t kVersion13 = 0x03;
 constexpr std::uint8_t kPublicIdWml11 = 0x04;
 constexpr std::uint8_t kCharsetUtf8 = 0x6A;
 
+// One code-page entry: a name and its token byte.
+struct Token {
+  std::string_view name;
+  std::uint8_t token = 0;
+};
+
 // WML 1.1 tag tokens (code page 0), per the WAP binary XML content format.
-// Transparent comparator: the fused pipeline looks names up by slice.
-const std::map<std::string, std::uint8_t, std::less<>>& tag_tokens() {
-  static const std::map<std::string, std::uint8_t, std::less<>> kTags = {
-      {"a", 0x1C},       {"td", 0x1D},     {"tr", 0x1E},    {"table", 0x1F},
-      {"p", 0x20},       {"postfield", 0x21}, {"anchor", 0x22},
-      {"access", 0x23},  {"b", 0x24},      {"big", 0x25},   {"br", 0x26},
-      {"card", 0x27},    {"do", 0x28},     {"em", 0x29},    {"fieldset", 0x2A},
-      {"go", 0x2B},      {"head", 0x2C},   {"i", 0x2D},     {"img", 0x2E},
-      {"input", 0x2F},   {"meta", 0x30},   {"noop", 0x31},  {"prev", 0x32},
-      {"onevent", 0x33}, {"optgroup", 0x34}, {"option", 0x35},
-      {"refresh", 0x36}, {"select", 0x37}, {"small", 0x38}, {"strong", 0x39},
-      {"template", 0x3B}, {"timer", 0x3C}, {"u", 0x3D},     {"setvar", 0x3E},
-      {"wml", 0x3F},
-  };
-  return kTags;
-}
+// Each table is sorted by name; TokenTable checks that at compile time.
+constexpr Token kTagTokens[] = {
+    {"a", 0x1C},        {"access", 0x23},   {"anchor", 0x22},
+    {"b", 0x24},        {"big", 0x25},      {"br", 0x26},
+    {"card", 0x27},     {"do", 0x28},       {"em", 0x29},
+    {"fieldset", 0x2A}, {"go", 0x2B},       {"head", 0x2C},
+    {"i", 0x2D},        {"img", 0x2E},      {"input", 0x2F},
+    {"meta", 0x30},     {"noop", 0x31},     {"onevent", 0x33},
+    {"optgroup", 0x34}, {"option", 0x35},   {"p", 0x20},
+    {"postfield", 0x21}, {"prev", 0x32},    {"refresh", 0x36},
+    {"select", 0x37},   {"setvar", 0x3E},   {"small", 0x38},
+    {"strong", 0x39},   {"table", 0x1F},    {"td", 0x1D},
+    {"template", 0x3B}, {"timer", 0x3C},    {"tr", 0x1E},
+    {"u", 0x3D},        {"wml", 0x3F},
+};
 
 // WML 1.1 attribute-start tokens (value encoded separately as STR_I).
-const std::map<std::string, std::uint8_t, std::less<>>& attr_tokens() {
-  static const std::map<std::string, std::uint8_t, std::less<>> kAttrs = {
-      {"accept-charset", 0x05}, {"align", 0x52},  {"alt", 0x0C},
-      {"class", 0x54},          {"columns", 0x53}, {"domain", 0x0F},
-      {"emptyok", 0x10},        {"format", 0x12}, {"height", 0x13},
-      {"href", 0x4A},           {"id", 0x55},     {"label", 0x18},
-      {"maxlength", 0x1A},      {"method", 0x1B}, {"mode", 0x1C},
-      {"multiple", 0x1D},       {"name", 0x1E},   {"optional", 0x21},
-      {"path", 0x22},           {"src", 0x32},    {"title", 0x36},
-      {"type", 0x37},           {"value", 0x39},  {"width", 0x3E},
-  };
-  return kAttrs;
-}
+constexpr Token kAttrTokens[] = {
+    {"accept-charset", 0x05}, {"align", 0x52},  {"alt", 0x0C},
+    {"class", 0x54},          {"columns", 0x53}, {"domain", 0x0F},
+    {"emptyok", 0x10},        {"format", 0x12}, {"height", 0x13},
+    {"href", 0x4A},           {"id", 0x55},     {"label", 0x18},
+    {"maxlength", 0x1A},      {"method", 0x1B}, {"mode", 0x1C},
+    {"multiple", 0x1D},       {"name", 0x1E},   {"optional", 0x21},
+    {"path", 0x22},           {"src", 0x32},    {"title", 0x36},
+    {"type", 0x37},           {"value", 0x39},  {"width", 0x3E},
+};
 
-// Token -> name, indexed by token byte: the decoders' constant-time reverse
-// lookup. An empty view marks a byte outside the code page. The views point
-// into the (static, never mutated) forward maps' keys.
-using TokenNames = std::array<std::string_view, 256>;
+// Both directions of one code page, built at compile time from its table.
+// Name -> token goes to the entries sharing the name's first byte (at most
+// five) and compares lengths before bytes: no tree walk, no memcmp call.
+class TokenTable {
+ public:
+  constexpr explicit TokenTable(std::span<const Token> entries)
+      : entries_{entries} {
+    std::size_t i = 0;
+    for (std::size_t c = 0; c < 256; ++c) {
+      first_[c] = static_cast<std::uint8_t>(i);
+      while (i < entries.size() && first_byte(entries[i].name) == c) ++i;
+    }
+    first_[256] = static_cast<std::uint8_t>(i);
+    for (const Token& e : entries) names_[e.token] = e.name;
+  }
 
-TokenNames reverse_table(
-    const std::map<std::string, std::uint8_t, std::less<>>& tokens) {
-  TokenNames names{};
-  for (const auto& [name, token] : tokens) names[token] = name;
-  return names;
-}
+  // Every entry landed in its first-byte bucket only if the table is sorted
+  // by name; every token is nonzero (0 means "not in the code page") and
+  // names exactly one entry.
+  constexpr bool well_formed() const {
+    std::size_t named = 0;
+    for (std::size_t t = 0; t < names_.size(); ++t) {
+      named += names_[t].empty() ? 0 : 1;
+    }
+    for (const Token& e : entries_) {
+      if (e.name.empty() || e.token == 0) return false;
+    }
+    return first_[256] == entries_.size() && named == entries_.size() &&
+           std::is_sorted(entries_.begin(), entries_.end(),
+                          [](const Token& a, const Token& b) {
+                            return a.name < b.name;
+                          });
+  }
 
-const TokenNames& tag_names() {
-  static const TokenNames kNames = reverse_table(tag_tokens());
-  return kNames;
-}
+  // Exact, case-sensitive; 0 when `name` is outside the code page.
+  std::uint8_t token(std::string_view name) const {
+    if (name.empty()) return 0;
+    const std::size_t c = first_byte(name);
+    for (std::size_t i = first_[c]; i < first_[c + 1]; ++i) {
+      if (same(entries_[i].name, name)) return entries_[i].token;
+    }
+    return 0;
+  }
 
-const TokenNames& attr_names() {
-  static const TokenNames kNames = reverse_table(attr_tokens());
-  return kNames;
-}
+  // The name of `token`, empty for a byte outside the code page.
+  std::string_view name(std::uint8_t token) const { return names_[token]; }
+
+ private:
+  static constexpr std::size_t first_byte(std::string_view s) {
+    return static_cast<unsigned char>(s[0]);
+  }
+  static bool same(std::string_view a, std::string_view b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (a[i] != b[i]) return false;
+    }
+    return true;
+  }
+
+  std::span<const Token> entries_;
+  std::array<std::uint8_t, 257> first_{};
+  // Token -> name, indexed by token byte: the decoders' constant-time
+  // reverse lookup. An empty view marks a byte outside the code page.
+  std::array<std::string_view, 256> names_{};
+};
+
+constexpr TokenTable kTags{kTagTokens};
+constexpr TokenTable kAttrs{kAttrTokens};
+static_assert(kTags.well_formed() && kAttrs.well_formed(),
+              "WML code-page tables must be sorted by name, with unique "
+              "nonzero tokens");
 
 void write_mb_u32(std::string& out, std::uint32_t v) {
   // Multi-byte unsigned integer, 7 bits per byte, high bit = continuation.
@@ -137,27 +192,18 @@ class Encoder {
     }
     const bool has_content = !n.children.empty();
     const bool has_attrs = !n.attrs.empty();
-    const auto& tags = tag_tokens();
-    auto it = tags.find(n.tag);
-    std::uint8_t token;
-    bool literal = false;
-    if (it != tags.end()) {
-      token = it->second;
-    } else {
-      token = kLiteral;
-      literal = true;
-    }
+    std::uint8_t token = kTags.token(n.tag);
+    const bool literal = token == 0;
+    if (literal) token = kLiteral;
     if (has_content) token |= kContentFlag;
     if (has_attrs) token |= 0x80;
     out.push_back(static_cast<char>(token));
     if (literal) write_mb_u32(out, intern(n.tag));
 
     if (has_attrs) {
-      const auto& attrs = attr_tokens();
       for (const auto& [k, v] : n.attrs) {
-        auto at = attrs.find(k);
-        if (at != attrs.end()) {
-          out.push_back(static_cast<char>(at->second));
+        if (const std::uint8_t at = kAttrs.token(k); at != 0) {
+          out.push_back(static_cast<char>(at));
         } else {
           out.push_back(static_cast<char>(kLiteral));
           write_mb_u32(out, intern(k));
@@ -243,7 +289,7 @@ class Decoder {
     if (base == kLiteral) {
       node.tag = table_string(read_mb_u32());
     } else {
-      node.tag = tag_names()[base];
+      node.tag = kTags.name(base);
       if (node.tag.empty()) return std::nullopt;
     }
     if (has_attrs) {
@@ -251,7 +297,7 @@ class Decoder {
              static_cast<std::uint8_t>(b_[pos_]) != kEnd) {
         const auto at = static_cast<std::uint8_t>(b_[pos_++]);
         std::string name = at == kLiteral ? table_string(read_mb_u32())
-                                          : std::string{attr_names()[at]};
+                                          : std::string{kAttrs.name(at)};
         if (name.empty()) return std::nullopt;
         std::string value;
         if (pos_ < b_.size() &&
@@ -360,7 +406,7 @@ class TextDecoder {
     if (base == kLiteral) {
       tag = table_string(read_mb_u32());
     } else {
-      tag = tag_names()[base];
+      tag = kTags.name(base);
       if (tag.empty()) return false;
     }
     emit = emit && !tag.empty();
@@ -369,7 +415,7 @@ class TextDecoder {
       while (pos_ < b_.size() && byte(pos_) != kEnd) {
         const std::uint8_t at = byte(pos_++);
         const sim::Slice name =
-            at == kLiteral ? table_string(read_mb_u32()) : attr_names()[at];
+            at == kLiteral ? table_string(read_mb_u32()) : kAttrs.name(at);
         if (name.empty()) return false;
         sim::Slice value;
         if (pos_ < b_.size() && byte(pos_) == kStrI) {
@@ -412,16 +458,16 @@ class TextDecoder {
 
 }  // namespace
 
-std::uint8_t wml_tag_token(std::string_view tag) {
-  const auto& tags = tag_tokens();
-  const auto it = tags.find(tag);
-  return it == tags.end() ? 0 : it->second;
-}
+std::uint8_t wml_tag_token(std::string_view tag) { return kTags.token(tag); }
 
 std::uint8_t wml_attr_token(std::string_view name) {
-  const auto& attrs = attr_tokens();
-  const auto it = attrs.find(name);
-  return it == attrs.end() ? 0 : it->second;
+  return kAttrs.token(name);
+}
+
+std::string_view wml_tag_name(std::uint8_t token) { return kTags.name(token); }
+
+std::string_view wml_attr_name(std::uint8_t token) {
+  return kAttrs.name(token);
 }
 
 std::string wbxml_encode(const MarkupDocument& wml) {

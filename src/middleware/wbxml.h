@@ -28,6 +28,10 @@ std::string wbxml_encode(const MarkupDocument& wml);
 // translate_html() pipeline emits the same token stream as the encoder.
 std::uint8_t wml_tag_token(std::string_view tag);
 std::uint8_t wml_attr_token(std::string_view name);
+// The reverse lookups the decoders use: the name of a WML 1.1 token byte,
+// empty for a byte outside the code page.
+std::string_view wml_tag_name(std::uint8_t token);
+std::string_view wml_attr_name(std::uint8_t token);
 
 // Decode WBXML bytes back to a WML document; nullopt on malformed input.
 std::optional<MarkupDocument> wbxml_decode(const std::string& bytes);

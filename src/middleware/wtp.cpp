@@ -71,8 +71,8 @@ void WtpEndpoint::send_segments(net::Endpoint to, const char* kind,
           '\n');
       w.put(sim::Slice{payload.data() + off, len});
     });
-    stats_.counter("datagrams_sent").add();
-    stats_.counter("bytes_sent").add(frame.size());
+    stats_.counter(c_datagrams_sent_).add();
+    stats_.counter(c_bytes_sent_).add(frame.size());
     udp_.send(to, port_, frame);
   }
 }
@@ -87,7 +87,7 @@ void WtpEndpoint::invoke(net::Endpoint responder, std::string&& payload,
   txn.payload = std::move(payload);
   txn.cb = std::move(cb);
   txn.ctx = obs::active_context();
-  stats_.counter("invokes").add();
+  stats_.counter(c_invokes_).add();
   send_segments(responder, "INV", tid, txn.payload);
   arm_retry(tid);
 }
@@ -101,13 +101,13 @@ void WtpEndpoint::arm_retry(std::uint64_t tid) {
     OutgoingTxn& txn = tit->second;
     txn.timer = sim::kInvalidEventId;
     if (++txn.retries > cfg_.max_retries) {
-      stats_.counter("transactions_failed").add();
+      stats_.counter(c_transactions_failed_).add();
       finish(tid, std::nullopt);
       return;
     }
     MCS_INVARIANT(txn.retries <= cfg_.max_retries,
                   "WTP retry loop escaped its budget");
-    stats_.counter("retransmissions").add();
+    stats_.counter(c_retransmissions_).add();
     obs::ActiveScope scope{txn.ctx};
     obs::instant(txn.ctx, obs::Component::kMiddleware, "wtp.rtx",
                  udp_.node().sim().now());
@@ -130,7 +130,7 @@ void WtpEndpoint::finish(std::uint64_t tid,
 }
 
 void WtpEndpoint::on_datagram(const std::string& data, net::Endpoint from) {
-  stats_.counter("datagrams_received").add();
+  stats_.counter(c_datagrams_received_).add();
   const std::size_t nl = data.find('\n');
   if (nl == std::string::npos) return;
   const sim::Slice head{data.data(), nl};
@@ -157,7 +157,7 @@ void WtpEndpoint::on_datagram(const std::string& data, net::Endpoint from) {
     ResponderTxn& txn = responding_[key];
     if (txn.responded) {
       // Duplicate invoke after we answered: retransmit the cached result.
-      stats_.counter("result_retransmissions").add();
+      stats_.counter(c_result_retransmissions_).add();
       send_segments(from, "RES", tid, txn.cached_result);
       return;
     }
@@ -167,7 +167,7 @@ void WtpEndpoint::on_datagram(const std::string& data, net::Endpoint from) {
     txn.handled = true;
     if (!on_invoke) return;
     const auto payload = txn.invoke.assemble();
-    stats_.counter("invokes_handled").add();
+    stats_.counter(c_invokes_handled_).add();
     on_invoke(payload, from, [this, key, from](std::string&& result) {
       auto rit = responding_.find(key);
       if (rit == responding_.end() || rit->second.responded) return;
@@ -200,7 +200,7 @@ void WtpEndpoint::on_datagram(const std::string& data, net::Endpoint from) {
     MCS_INVARIANT(txn.result.received == txn.result.total,
                   "WTP reassembly completed with a segment-count mismatch");
     udp_.send(from, port_, sim::cat("ACK ", sim::u64s(tid), "\n"));
-    stats_.counter("transactions_completed").add();
+    stats_.counter(c_transactions_completed_).add();
     finish(tid, txn.result.assemble());
     return;
   }

@@ -117,6 +117,16 @@ class WtpEndpoint {
   };
   std::unordered_map<RespKey, ResponderTxn, RespKeyHash> responding_;
   sim::StatsRegistry stats_;
+  // Counter handles into stats_, resolved on first use (sim/stats.h).
+  sim::CounterHandle c_datagrams_sent_{"datagrams_sent"};
+  sim::CounterHandle c_bytes_sent_{"bytes_sent"};
+  sim::CounterHandle c_datagrams_received_{"datagrams_received"};
+  sim::CounterHandle c_invokes_{"invokes"};
+  sim::CounterHandle c_invokes_handled_{"invokes_handled"};
+  sim::CounterHandle c_retransmissions_{"retransmissions"};
+  sim::CounterHandle c_result_retransmissions_{"result_retransmissions"};
+  sim::CounterHandle c_transactions_completed_{"transactions_completed"};
+  sim::CounterHandle c_transactions_failed_{"transactions_failed"};
 };
 
 }  // namespace mcs::middleware

@@ -111,7 +111,7 @@ net::FilterVerdict HomeAgent::intercept(const net::PacketPtr& p,
   if (it == bindings_.end()) return net::FilterVerdict::kPass;  // at home
   if (router_.sim().now() >= it->second.expires) {
     bindings_.erase(it);  // stale binding
-    stats_.counter("bindings_expired").add();
+    stats_.counter(c_bindings_expired_).add();
     return net::FilterVerdict::kPass;
   }
   tunnel_to(p, it->second.care_of);
@@ -133,10 +133,10 @@ void HomeAgent::tunnel_to(const net::PacketPtr& p, net::IpAddress coa) {
   outer->trace_span = p->trace_span;
   obs::instant(obs::TraceContext{p->trace_id, p->trace_span},
                obs::Component::kMobileIp, "ha.tunnel", router_.sim().now());
-  stats_.counter("tunneled_packets").add();
+  stats_.counter(c_tunneled_packets_).add();
   obs::metric_add(m_encap_);
-  stats_.counter("tunneled_bytes").add(outer->size_bytes());
-  stats_.counter("tunnel_overhead_bytes").add(outer->size_bytes() -
+  stats_.counter(c_tunneled_bytes_).add(outer->size_bytes());
+  stats_.counter(c_tunnel_overhead_bytes_).add(outer->size_bytes() -
                                               p->size_bytes());
   router_.send(outer);
 }
@@ -147,7 +147,7 @@ void HomeAgent::on_datagram(const std::string& payload, net::Endpoint from) {
   if (!served_.contains(req->home_addr)) {
     udp_.send(from, kMobileIpPort,
               RegistrationReply{req->home_addr, req->seq, 1}.encode());
-    stats_.counter("registrations_denied").add();
+    stats_.counter(c_registrations_denied_).add();
     return;
   }
   const sim::Time now = router_.sim().now();
@@ -155,7 +155,7 @@ void HomeAgent::on_datagram(const std::string& payload, net::Endpoint from) {
   if (req->lifetime_ms == 0 || req->care_of.is_unspecified()) {
     // Deregistration: the mobile is back home.
     if (old != bindings_.end()) bindings_.erase(old);
-    stats_.counter("deregistrations").add();
+    stats_.counter(c_deregistrations_).add();
   } else {
     if (cfg_.smooth_handoff && old != bindings_.end() &&
         old->second.care_of != req->care_of) {
@@ -165,7 +165,7 @@ void HomeAgent::on_datagram(const std::string& payload, net::Endpoint from) {
           static_cast<std::uint64_t>(cfg_.forward_lifetime.to_millis())};
       udp_.send({old->second.care_of, kMobileIpPort}, kMobileIpPort,
                 fwd.encode());
-      stats_.counter("forward_updates_sent").add();
+      stats_.counter(c_forward_updates_sent_).add();
     }
     bindings_[req->home_addr] =
         Binding{req->care_of,
@@ -176,7 +176,7 @@ void HomeAgent::on_datagram(const std::string& payload, net::Endpoint from) {
                   "accepted mobility binding must expire in the future");
     MCS_INVARIANT(is_away(req->home_addr),
                   "accepted registration must leave the mobile marked away");
-    stats_.counter("registrations_accepted").add();
+    stats_.counter(c_registrations_accepted_).add();
   }
   udp_.send(from, kMobileIpPort,
             RegistrationReply{req->home_addr, req->seq, 0}.encode());
@@ -204,7 +204,7 @@ ForeignAgent::ForeignAgent(net::Node& router, transport::UdpStack& udp,
 void ForeignAgent::visitor_departed(net::IpAddress home_addr) {
   if (visitors_.erase(home_addr) > 0) {
     router_.remove_route(home_addr);
-    stats_.counter("visitor_departures").add();
+    stats_.counter(c_visitor_departures_).add();
   }
 }
 
@@ -219,7 +219,7 @@ void ForeignAgent::forward_packet(const net::PacketPtr& inner,
   outer->inner = inner;
   outer->trace_id = inner->trace_id;
   outer->trace_span = inner->trace_span;
-  stats_.counter("forwarded_packets").add();
+  stats_.counter(c_forwarded_packets_).add();
   router_.send(outer);
 }
 
@@ -231,13 +231,13 @@ void ForeignAgent::buffer_packet(const net::PacketPtr& inner) {
     return now - b.buffered_at > cfg_.buffer_ttl;
   });
   if (q.size() >= cfg_.buffer_packets) {
-    stats_.counter("drop_buffer_full").add();
+    stats_.counter(c_drop_buffer_full_).add();
     return;
   }
   q.push_back(BufferedPacket{inner, now});
   MCS_INVARIANT(q.size() <= cfg_.buffer_packets,
                 "foreign agent exceeded its per-mobile buffer budget");
-  stats_.counter("buffered_packets").add();
+  stats_.counter(c_buffered_packets_).add();
 }
 
 void ForeignAgent::flush_buffered(net::IpAddress home_addr) {
@@ -252,7 +252,7 @@ void ForeignAgent::flush_buffered(net::IpAddress home_addr) {
     if (fit != forwards_.end() && now < fit->second.expires) {
       forward_packet(b.packet, fit->second.new_coa);
     } else if (visitors_.contains(home_addr)) {
-      stats_.counter("flushed_to_visitor").add();
+      stats_.counter(c_flushed_to_visitor_).add();
       router_.send(b.packet);
     }
   }
@@ -261,7 +261,7 @@ void ForeignAgent::flush_buffered(net::IpAddress home_addr) {
 void ForeignAgent::on_tunnel_packet(const net::PacketPtr& p) {
   if (!p->inner) return;
   net::PacketPtr inner = p->inner;
-  stats_.counter("decapsulated_packets").add();
+  stats_.counter(c_decapsulated_packets_).add();
   obs::metric_add(m_decap_);
   obs::instant(obs::TraceContext{inner->trace_id, inner->trace_span},
                obs::Component::kMobileIp, "fa.decap", router_.sim().now());
@@ -288,7 +288,7 @@ void ForeignAgent::on_datagram(const std::string& payload, net::Endpoint from) {
     // Fill in our care-of address and relay to the HA.
     req->care_of = care_of_address();
     pending_[req->home_addr] = PendingRegistration{from};
-    stats_.counter("registrations_relayed").add();
+    stats_.counter(c_registrations_relayed_).add();
     udp_.send({req->home_agent, kMobileIpPort}, kMobileIpPort, req->encode());
     return;
   }
@@ -314,7 +314,7 @@ void ForeignAgent::on_datagram(const std::string& payload, net::Endpoint from) {
         fwd->new_coa,
         router_.sim().now() + sim::Time::millis(static_cast<std::int64_t>(
                                   fwd->lifetime_ms))};
-    stats_.counter("forward_pointers_installed").add();
+    stats_.counter(c_forward_pointers_installed_).add();
     flush_buffered(fwd->home_addr);
     return;
   }
@@ -381,7 +381,7 @@ void MobileIpClient::send_registration() {
                         : static_cast<std::uint64_t>(cfg_.lifetime.to_millis());
   req.seq = seq_;
   request_sent_at_ = mobile_.sim().now();
-  stats_.counter("registration_requests").add();
+  stats_.counter(c_registration_requests_).add();
   udp_.send({current_agent_, kMobileIpPort}, kMobileIpPort, req.encode());
   arm_retry();
 }
@@ -392,11 +392,11 @@ void MobileIpClient::arm_retry() {
     retry_timer_ = sim::kInvalidEventId;
     if (registered_) return;
     if (++retries_ > cfg_.max_retries) {
-      stats_.counter("registration_failures").add();
+      stats_.counter(c_registration_failures_).add();
       if (on_registered) on_registered(false, sim::Time::zero());
       return;
     }
-    stats_.counter("registration_retries").add();
+    stats_.counter(c_registration_retries_).add();
     send_registration();
   });
 }

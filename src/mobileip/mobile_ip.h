@@ -101,6 +101,15 @@ class HomeAgent {
   std::unordered_map<net::IpAddress, bool> served_;  // home addrs
   std::unordered_map<net::IpAddress, Binding> bindings_;
   sim::StatsRegistry stats_;
+  // Counter handles into stats_, resolved on first use (sim/stats.h).
+  sim::CounterHandle c_tunneled_packets_{"tunneled_packets"};
+  sim::CounterHandle c_tunneled_bytes_{"tunneled_bytes"};
+  sim::CounterHandle c_tunnel_overhead_bytes_{"tunnel_overhead_bytes"};
+  sim::CounterHandle c_registrations_accepted_{"registrations_accepted"};
+  sim::CounterHandle c_registrations_denied_{"registrations_denied"};
+  sim::CounterHandle c_deregistrations_{"deregistrations"};
+  sim::CounterHandle c_forward_updates_sent_{"forward_updates_sent"};
+  sim::CounterHandle c_bindings_expired_{"bindings_expired"};
   // Telemetry handle, cached at construction (obs/metrics.h).
   obs::TsCounter* m_encap_ = obs::metric_counter("mobileip.tunnel.encap");
 };
@@ -163,6 +172,16 @@ class ForeignAgent {
   std::unordered_map<net::IpAddress, ForwardPointer> forwards_;
   std::unordered_map<net::IpAddress, std::vector<BufferedPacket>> buffered_;
   sim::StatsRegistry stats_;
+  // Counter handles into stats_, resolved on first use (sim/stats.h).
+  sim::CounterHandle c_forwarded_packets_{"forwarded_packets"};
+  sim::CounterHandle c_buffered_packets_{"buffered_packets"};
+  sim::CounterHandle c_drop_buffer_full_{"drop_buffer_full"};
+  sim::CounterHandle c_flushed_to_visitor_{"flushed_to_visitor"};
+  sim::CounterHandle c_decapsulated_packets_{"decapsulated_packets"};
+  sim::CounterHandle c_registrations_relayed_{"registrations_relayed"};
+  sim::CounterHandle c_forward_pointers_installed_{
+      "forward_pointers_installed"};
+  sim::CounterHandle c_visitor_departures_{"visitor_departures"};
   // Telemetry handle, cached at construction (obs/metrics.h).
   obs::TsCounter* m_decap_ = obs::metric_counter("mobileip.tunnel.decap");
 };
@@ -217,6 +236,10 @@ class MobileIpClient {
   sim::EventId retry_timer_ = sim::kInvalidEventId;
   sim::EventId renew_timer_ = sim::kInvalidEventId;
   sim::StatsRegistry stats_;
+  // Counter handles into stats_, resolved on first use (sim/stats.h).
+  sim::CounterHandle c_registration_requests_{"registration_requests"};
+  sim::CounterHandle c_registration_retries_{"registration_retries"};
+  sim::CounterHandle c_registration_failures_{"registration_failures"};
 };
 
 }  // namespace mcs::mobileip

@@ -24,7 +24,7 @@ void Link::transmit(Interface* from, IpAddress /*next_hop*/, PacketPtr p) {
   Direction& dir = direction_for(from);
   const std::size_t size = p->size_bytes();
   if (dir.queued_bytes + size > cfg_.queue_limit_bytes) {
-    stats_.counter("drop_queue_overflow").add();
+    stats_.counter(c_drop_queue_overflow_).add();
     obs::metric_add(m_drops_);
     return;
   }
@@ -59,16 +59,16 @@ void Link::start_service(Interface* from) {
     Interface* to = peer_of(from);
     const bool lost = rng_.bernoulli(cfg_.loss_rate);
     if (lost) {
-      stats_.counter("drop_loss").add();
+      stats_.counter(c_drop_loss_).add();
       obs::metric_add(m_drops_);
       obs::end_span(wire, sim_.now());
     } else if (!to->up() || !from->up()) {
-      stats_.counter("drop_iface_down").add();
+      stats_.counter(c_drop_iface_down_).add();
       obs::metric_add(m_drops_);
       obs::end_span(wire, sim_.now());
     } else {
-      stats_.counter("delivered_packets").add();
-      stats_.counter("delivered_bytes").add(p->size_bytes());
+      stats_.counter(c_delivered_packets_).add();
+      stats_.counter(c_delivered_bytes_).add(p->size_bytes());
       obs::metric_add(m_tx_packets_);
       obs::metric_add(m_tx_bytes_, p->size_bytes());
       sim_.after(cfg_.propagation, [this, to, p, wire] {

@@ -57,6 +57,12 @@ class Link : public Channel {
   Direction ab_;
   Direction ba_;
   sim::StatsRegistry stats_;
+  // Counter handles into stats_, resolved on first use (sim/stats.h).
+  sim::CounterHandle c_delivered_packets_{"delivered_packets"};
+  sim::CounterHandle c_delivered_bytes_{"delivered_bytes"};
+  sim::CounterHandle c_drop_loss_{"drop_loss"};
+  sim::CounterHandle c_drop_iface_down_{"drop_iface_down"};
+  sim::CounterHandle c_drop_queue_overflow_{"drop_queue_overflow"};
   // Telemetry handles, cached at construction (obs/metrics.h). Shared names
   // across links: "wired.*" is the tier total, per-link detail stays in
   // stats_.

@@ -53,8 +53,8 @@ const Node::Route* Node::lookup_route(IpAddress dst) const {
 
 void Node::receive(const PacketPtr& p, Interface* in) {
   MCS_ASSERT(p != nullptr, "cannot receive a null packet");
-  stats_.counter("rx_packets").add();
-  stats_.counter("rx_bytes").add(p->size_bytes());
+  stats_.counter(c_rx_packets_).add();
+  stats_.counter(c_rx_bytes_).add(p->size_bytes());
   for (auto& f : filters_) {
     if (f.fn(p, in) == FilterVerdict::kConsumed) return;
   }
@@ -63,7 +63,7 @@ void Node::receive(const PacketPtr& p, Interface* in) {
     return;
   }
   if (--p->ttl <= 0) {
-    stats_.counter("drop_ttl").add();
+    stats_.counter(c_drop_ttl_).add();
     return;
   }
   forward(p);
@@ -79,8 +79,8 @@ void Node::send(const PacketPtr& p) {
     p->trace_id = ctx.trace_id;
     p->trace_span = ctx.span_id;
   }
-  stats_.counter("tx_packets").add();
-  stats_.counter("tx_bytes").add(p->size_bytes());
+  stats_.counter(c_tx_packets_).add();
+  stats_.counter(c_tx_bytes_).add(p->size_bytes());
   // Locally originated packets pass the filters too (in == nullptr): a home
   // agent colocated with a server must intercept its own node's output the
   // way a kernel routing hook would.
@@ -102,7 +102,7 @@ void Node::send(const PacketPtr& p) {
 void Node::deliver_local(const PacketPtr& p, Interface* in) {
   auto it = handlers_.find(static_cast<int>(p->proto));
   if (it == handlers_.end()) {
-    stats_.counter("drop_no_handler").add();
+    stats_.counter(c_drop_no_handler_).add();
     if (sim::log_enabled(sim::LogLevel::kDebug)) {
       // describe() allocates; build it only when the line will be emitted.
       sim::logf(sim::LogLevel::kDebug, sim_.now(), "%s: no handler for %s",
@@ -117,7 +117,7 @@ void Node::forward(const PacketPtr& p) {
   const Route* r = lookup_route(p->dst);
   if (r == nullptr || r->out == nullptr || r->out->channel() == nullptr ||
       !r->out->up()) {
-    stats_.counter("drop_no_route").add();
+    stats_.counter(c_drop_no_route_).add();
     if (sim::log_enabled(sim::LogLevel::kDebug)) {
       sim::logf(sim::LogLevel::kDebug, sim_.now(), "%s: no route for %s",
                 name_.c_str(), p->describe().c_str());

@@ -133,6 +133,14 @@ class Node {
   std::vector<FilterEntry> filters_;
   FilterId next_filter_id_ = 1;
   sim::StatsRegistry stats_;
+  // Counter handles into stats_, resolved on first use (sim/stats.h).
+  sim::CounterHandle c_rx_packets_{"rx_packets"};
+  sim::CounterHandle c_rx_bytes_{"rx_bytes"};
+  sim::CounterHandle c_tx_packets_{"tx_packets"};
+  sim::CounterHandle c_tx_bytes_{"tx_bytes"};
+  sim::CounterHandle c_drop_ttl_{"drop_ttl"};
+  sim::CounterHandle c_drop_no_handler_{"drop_no_handler"};
+  sim::CounterHandle c_drop_no_route_{"drop_no_route"};
 };
 
 }  // namespace mcs::net

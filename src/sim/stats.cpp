@@ -119,11 +119,6 @@ std::string StatsRegistry::report(const std::string& prefix) const {
   return out;
 }
 
-void StatsRegistry::clear() {
-  counters_.clear();
-  histograms_.clear();
-}
-
 void StatsRegistry::merge(const StatsRegistry& other) {
   for (const auto& [name, c] : other.counters_) {
     counters_[name].add(c.value());

@@ -79,10 +79,44 @@ class Counter {
   std::uint64_t value_ = 0;
 };
 
+// One named counter of one registry, found once and then reached through a
+// cached pointer (map nodes never move), so the hot path does no string
+// lookup; the registry-side twin of the obs::metric_* handles. The owner of
+// a registry keeps one handle per counter it updates:
+//
+//   sim::CounterHandle c_tx_packets_{"tx_packets"};
+//   stats_.counter(c_tx_packets_).add();
+//
+// The counter is created on the handle's first use, exactly as the string
+// overload would create it, so a counter never counted stays absent from
+// every export. A copy starts unresolved: a copied owner counts into its
+// own registry, never into the one it was copied from.
+class CounterHandle {
+ public:
+  explicit constexpr CounterHandle(const char* name) : name_{name} {}
+  CounterHandle(const CounterHandle& other) : name_{other.name_} {}
+  CounterHandle& operator=(const CounterHandle& other) {
+    name_ = other.name_;
+    counter_ = nullptr;
+    return *this;
+  }
+
+ private:
+  friend class StatsRegistry;
+  const char* name_;
+  Counter* counter_ = nullptr;
+};
+
 // Named stats for one component; registries compose into system reports.
 class StatsRegistry {
  public:
+  // By name, for names built at run time (exports, tests).
   Counter& counter(const std::string& name) { return counters_[name]; }
+  // By handle, for every update site with a fixed name.
+  Counter& counter(CounterHandle& h) {
+    if (h.counter_ == nullptr) h.counter_ = &counters_[h.name_];
+    return *h.counter_;
+  }
   Histogram& histogram(const std::string& name) { return histograms_[name]; }
 
   const std::map<std::string, Counter>& counters() const { return counters_; }
@@ -91,7 +125,6 @@ class StatsRegistry {
   }
 
   std::string report(const std::string& prefix = "") const;
-  void clear();
 
   // Fold another registry into this one: counters add, histograms merge.
   // Used to aggregate per-entity registries (e.g. every mobile's browser)

@@ -1,6 +1,5 @@
 #include "sim/util.h"
 
-#include <cctype>
 #include <cstdio>
 
 namespace mcs::sim {
@@ -61,17 +60,11 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
-std::string trim(const std::string& s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
+std::string trim(const std::string& s) { return std::string{trim_view(s)}; }
 
 std::string to_lower(const std::string& s) {
   std::string out = s;
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) c = ascii_lower(c);
   return out;
 }
 

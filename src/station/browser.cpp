@@ -30,7 +30,7 @@ MicroBrowser::MicroBrowser(net::Node& station, DeviceProfile device,
 
 void MicroBrowser::browse(const std::string& url, PageCallback cb) {
   const sim::Time started = station_.sim().now();
-  stats_.counter("page_requests").add();
+  stats_.counter(c_page_requests_).add();
   obs::metric_add(m_browses_);
 
   // Browse span: child of the driver's request when one is active, else its
@@ -49,7 +49,7 @@ void MicroBrowser::browse(const std::string& url, PageCallback cb) {
 
   // Cache hit: only render cost applies.
   if (auto hit = cache_.get(url); hit.has_value()) {
-    stats_.counter("cache_hits").add();
+    stats_.counter(c_cache_hits_).add();
     obs::metric_add(m_cache_hits_);
     PageResult r = *hit;
     r.from_cache = true;
@@ -93,7 +93,7 @@ void MicroBrowser::browse(const std::string& url, PageCallback cb) {
              [this, url, started, page, cb = std::move(done)](
                  std::optional<host::HttpResponse> resp) mutable {
     if (!resp.has_value()) {
-      stats_.counter("failures").add();
+      stats_.counter(c_failures_).add();
       PageResult r;
       r.total_time = station_.sim().now() - started;
       cb(std::move(r));
@@ -112,7 +112,7 @@ void MicroBrowser::wsp_result(const std::string& url, sim::Time started,
                               std::size_t air_bytes, obs::TraceContext page,
                               PageCallback cb) {
   if (!result.has_value()) {
-    stats_.counter("failures").add();
+    stats_.counter(c_failures_).add();
     PageResult r;
     r.total_time = station_.sim().now() - started;
     cb(std::move(r));
@@ -121,7 +121,7 @@ void MicroBrowser::wsp_result(const std::string& url, sim::Time started,
   battery_.drain_rx_bytes(result->size());
   auto wsp = middleware::wsp_decode_response(*result);
   if (!wsp.has_value()) {
-    stats_.counter("failures").add();
+    stats_.counter(c_failures_).add();
     PageResult r;
     r.total_time = station_.sim().now() - started;
     cb(std::move(r));
@@ -139,7 +139,7 @@ void MicroBrowser::secure_invoke(const std::string& url, sim::Time started,
     wtls_waiters_.push_back(SecureWaiter{url, page, std::move(cb)});
     if (wtls_handshaking_) return;
     wtls_handshaking_ = true;
-    stats_.counter("wtls_handshakes").add();
+    stats_.counter(c_wtls_handshakes_).add();
     // The handshake object lives across the round trip.
     auto hs = std::make_shared<security::WtlsHandshake>(
         security::WtlsHandshake::Role::kClient, rng_.fork(),
@@ -158,7 +158,7 @@ void MicroBrowser::secure_invoke(const std::string& url, sim::Time started,
                 std::string_view{result->data() + 12, result->size() - 12})
               .has_value();
       if (!ok) {
-        stats_.counter("wtls_failures").add();
+        stats_.counter(c_wtls_failures_).add();
         for (auto& w : waiters) {
           PageResult r;
           w.cb(std::move(r));
@@ -188,12 +188,12 @@ void MicroBrowser::secure_invoke(const std::string& url, sim::Time started,
                    std::move(cb));
         return;
       }
-      stats_.counter("wtls_record_errors").add();
+      stats_.counter(c_wtls_record_errors_).add();
     } else if (result.has_value() &&
                sim::starts_with(*result, "WTLS-ERR")) {
       // Session lost at the gateway: drop ours so the next browse redials.
       wtls_channel_.reset();
-      stats_.counter("wtls_failures").add();
+      stats_.counter(c_wtls_failures_).add();
     }
     wsp_result(url, started, std::nullopt, 0, page, std::move(cb));
   });
@@ -214,7 +214,7 @@ void MicroBrowser::finish_with_content(const std::string& url, int status,
   // Decode WBXML decks back to WML text.
   if (was_wbxml) {
     if (!middleware::wbxml_to_text(content, deck_buf_)) {
-      stats_.counter("decode_errors").add();
+      stats_.counter(c_decode_errors_).add();
       r.ok = false;
       r.total_time = station_.sim().now() - started;
       cb(std::move(r));
@@ -236,7 +236,7 @@ void MicroBrowser::finish_with_content(const std::string& url, int status,
   battery_.drain_cpu(r.parse_time + r.render_time);
 
   if (r.ok) {
-    stats_.counter("pages_loaded").add();
+    stats_.counter(c_pages_loaded_).add();
     // Heuristic of the era: responses to parameterised requests are dynamic
     // (CGI output) and must not be reused; plain resources are cacheable.
     if (url.find('?') == std::string::npos) {

@@ -102,6 +102,15 @@ class MicroBrowser {
   };
   std::vector<SecureWaiter> wtls_waiters_;
   sim::StatsRegistry stats_;
+  // Counter handles into stats_, resolved on first use (sim/stats.h).
+  sim::CounterHandle c_page_requests_{"page_requests"};
+  sim::CounterHandle c_pages_loaded_{"pages_loaded"};
+  sim::CounterHandle c_cache_hits_{"cache_hits"};
+  sim::CounterHandle c_failures_{"failures"};
+  sim::CounterHandle c_decode_errors_{"decode_errors"};
+  sim::CounterHandle c_wtls_handshakes_{"wtls_handshakes"};
+  sim::CounterHandle c_wtls_failures_{"wtls_failures"};
+  sim::CounterHandle c_wtls_record_errors_{"wtls_record_errors"};
   // Reused per-page buffers: the decoded deck, its title and its text are
   // produced here, then copied once into the page's own strings.
   std::string deck_buf_;

@@ -43,7 +43,7 @@ std::uint16_t UdpStack::allocate_port() {
 void UdpStack::on_packet(const net::PacketPtr& p) {
   auto it = ports_.find(p->udp.dst_port);
   if (it == ports_.end()) {
-    node_.stats().counter("udp_drop_unbound").add();
+    node_.stats().counter(c_udp_drop_unbound_).add();
     return;
   }
   it->second(p->payload, net::Endpoint{p->src, p->udp.src_port},

@@ -7,6 +7,7 @@
 
 #include "net/node.h"
 #include "sim/arena.h"
+#include "sim/stats.h"
 
 namespace mcs::transport {
 
@@ -42,6 +43,8 @@ class UdpStack {
   net::Node& node_;
   std::unordered_map<std::uint16_t, ReceiveCallback> ports_;
   std::uint16_t next_ephemeral_ = 49152;
+  // Counts into the node's registry (sim/stats.h), resolved on first use.
+  sim::CounterHandle c_udp_drop_unbound_{"udp_drop_unbound"};
 };
 
 }  // namespace mcs::transport

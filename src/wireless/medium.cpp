@@ -36,7 +36,7 @@ void WirelessMedium::associate(net::Interface* station,
              "the access point cannot associate with itself");
   stations_[station].mobility = mobility;
   station->attach(this);
-  stats_.counter("associations").add();
+  stats_.counter(c_associations_).add();
   if (on_topology_changed) on_topology_changed();
 }
 
@@ -49,7 +49,7 @@ void WirelessMedium::disassociate(net::Interface* station) {
   MCS_INVARIANT(!stations_.contains(station) && !has_call(station),
                 "a disassociated station must hold neither an association "
                 "record nor a reserved circuit channel");
-  stats_.counter("disassociations").add();
+  stats_.counter(c_disassociations_).add();
   if (on_topology_changed) on_topology_changed();
 }
 
@@ -65,7 +65,7 @@ void WirelessMedium::place_call(net::Interface* station,
     return;
   }
   if (calls_ >= cfg_.circuit_channels) {
-    stats_.counter("calls_blocked").add();
+    stats_.counter(c_calls_blocked_).add();
     done(false);
     return;
   }
@@ -73,7 +73,7 @@ void WirelessMedium::place_call(net::Interface* station,
   MCS_INVARIANT(calls_ <= cfg_.circuit_channels,
                 "reserving a setup channel can never oversubscribe the "
                 "cell's circuit capacity");
-  stats_.counter("calls_placed").add();
+  stats_.counter(c_calls_placed_).add();
   sim_.after(cfg_.phy.call_setup, [this, station, done = std::move(done)] {
     auto sit = stations_.find(station);
     if (sit == stations_.end()) {
@@ -94,7 +94,7 @@ void WirelessMedium::end_call(net::Interface* station) {
              "a station marked in_call implies at least one reserved "
              "circuit channel to release");
   --calls_;
-  stats_.counter("calls_ended").add();
+  stats_.counter(c_calls_ended_).add();
 }
 
 bool WirelessMedium::has_call(const net::Interface* station) const {
@@ -118,19 +118,19 @@ void WirelessMedium::transmit(net::Interface* from, net::IpAddress next_hop,
                               net::PacketPtr p) {
   MCS_ASSERT(from != nullptr && p != nullptr,
              "wireless transmit needs a source interface and a packet");
-  stats_.counter("tx_packets").add();
+  stats_.counter(c_tx_packets_).add();
   if (circuit_mode()) {
     // The dedicated channel belongs to the mobile endpoint of the frame.
     net::Interface* station_iface =
         from == ap_ ? find_destination(next_hop) : from;
     Station* st = station_iface ? station_state(station_iface) : nullptr;
     if (st == nullptr || !st->in_call) {
-      stats_.counter("drop_no_call").add();
+      stats_.counter(c_drop_no_call_).add();
       obs::metric_add(m_drops_);
       return;
     }
     if (st->queued_bytes + p->size_bytes() > cfg_.queue_limit_bytes) {
-      stats_.counter("drop_queue_overflow").add();
+      stats_.counter(c_drop_queue_overflow_).add();
       obs::metric_add(m_drops_);
       return;
     }
@@ -144,7 +144,7 @@ void WirelessMedium::transmit(net::Interface* from, net::IpAddress next_hop,
   }
 
   if (shared_queued_bytes_ + p->size_bytes() > cfg_.queue_limit_bytes) {
-    stats_.counter("drop_queue_overflow").add();
+    stats_.counter(c_drop_queue_overflow_).add();
     obs::metric_add(m_drops_);
     return;
   }
@@ -209,14 +209,14 @@ void WirelessMedium::deliver(net::Interface* from, net::IpAddress next_hop,
                              const net::PacketPtr& p, obs::TraceContext air) {
   net::Interface* to = find_destination(next_hop);
   if (to == nullptr || !to->up() || !from->up()) {
-    stats_.counter("drop_not_attached").add();
+    stats_.counter(c_drop_not_attached_).add();
     obs::metric_add(m_drops_);
     obs::end_span(air, sim_.now());
     return;
   }
   const double dist = position_of(from).distance_to(position_of(to));
   if (dist > cfg_.phy.range_m) {
-    stats_.counter("drop_out_of_range").add();
+    stats_.counter(c_drop_out_of_range_).add();
     obs::metric_add(m_drops_);
     obs::end_span(air, sim_.now());
     return;
@@ -239,13 +239,13 @@ void WirelessMedium::deliver(net::Interface* from, net::IpAddress next_hop,
     if (st->ge_bad) p_loss += cfg_.burst_loss;
   }
   if (rng_.bernoulli(std::min(p_loss, 1.0))) {
-    stats_.counter("drop_loss").add();
+    stats_.counter(c_drop_loss_).add();
     obs::metric_add(m_drops_);
     obs::end_span(air, sim_.now());
     return;
   }
-  stats_.counter("delivered_packets").add();
-  stats_.counter("delivered_bytes").add(p->size_bytes());
+  stats_.counter(c_delivered_packets_).add();
+  stats_.counter(c_delivered_bytes_).add(p->size_bytes());
   obs::metric_add(m_frames_);
   obs::metric_add(m_tx_bytes_, p->size_bytes());
   sim_.after(kAirPropagation, [this, to, p, air] {

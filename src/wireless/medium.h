@@ -124,6 +124,20 @@ class WirelessMedium : public net::Channel {
   bool shared_busy_ = false;
   int calls_ = 0;
   sim::StatsRegistry stats_;
+  // Counter handles into stats_, resolved on first use (sim/stats.h).
+  sim::CounterHandle c_associations_{"associations"};
+  sim::CounterHandle c_disassociations_{"disassociations"};
+  sim::CounterHandle c_calls_placed_{"calls_placed"};
+  sim::CounterHandle c_calls_blocked_{"calls_blocked"};
+  sim::CounterHandle c_calls_ended_{"calls_ended"};
+  sim::CounterHandle c_tx_packets_{"tx_packets"};
+  sim::CounterHandle c_delivered_packets_{"delivered_packets"};
+  sim::CounterHandle c_delivered_bytes_{"delivered_bytes"};
+  sim::CounterHandle c_drop_no_call_{"drop_no_call"};
+  sim::CounterHandle c_drop_queue_overflow_{"drop_queue_overflow"};
+  sim::CounterHandle c_drop_not_attached_{"drop_not_attached"};
+  sim::CounterHandle c_drop_out_of_range_{"drop_out_of_range"};
+  sim::CounterHandle c_drop_loss_{"drop_loss"};
   // Telemetry handles, cached at construction (obs/metrics.h); shared names
   // across cells so "wireless.*" totals the whole air tier.
   obs::TsCounter* m_frames_ = obs::metric_counter("wireless.frames");

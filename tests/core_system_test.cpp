@@ -232,6 +232,40 @@ TEST(PersonalizationTest, CatalogRankingFollowsInterests) {
   EXPECT_EQ(eng.personalize_catalog("bob", rows, 2, 3).size(), rows.size());
 }
 
+// The personalized order of a seeded catalog, pinned. Prices come from a
+// set of five, so rows of equal interest rank tie on price and must keep
+// their input order (the sort is stable). A row whose category is not text
+// ranks after every interest; a row without a price column sorts as 0.
+TEST(PersonalizationTest, SeededCatalogOrderIsPinned) {
+  PersonalizationEngine eng;
+  UserProfile u;
+  u.user_id = "u";
+  u.interests = {"music", "books", "games"};
+  u.spending_limit = 40.0;
+  eng.upsert_profile(u);
+
+  const char* kCategories[] = {"music", "books", "games", "toys", "food"};
+  const double kPrices[] = {5.0, 9.99, 20.0, 39.5, 60.0};
+  sim::Rng rng{14};
+  std::vector<host::db::Row> rows;
+  for (std::int64_t id = 1; id <= 40; ++id) {
+    const char* category = kCategories[rng.next_u64() % 5];
+    const double price = kPrices[rng.next_u64() % 5];
+    rows.push_back({id, std::string{"item"}, std::string{category}, price});
+  }
+  rows.push_back({std::int64_t{41}, std::string{"odd"}, std::int64_t{7}, 5.0});
+  rows.push_back({std::int64_t{42}, std::string{"short"}, std::string{"music"}});
+
+  std::vector<std::int64_t> ids;
+  for (const auto& r : eng.personalize_catalog("u", rows, 2, 3)) {
+    ids.push_back(std::get<std::int64_t>(r[0]));
+  }
+  EXPECT_EQ(ids, (std::vector<std::int64_t>{
+                     42, 5,  2,  16, 10, 28, 40, 23, 24, 30, 9,
+                     13, 20, 27, 33, 35, 17, 26, 39, 11, 36, 41,
+                     6,  7,  12, 15, 18, 19, 29, 38, 3,  4,  22}));
+}
+
 TEST(PersonalizationTest, RecordInterestPromotesCategory) {
   PersonalizationEngine eng;
   UserProfile u;

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "middleware/adaptation.h"
 #include "middleware/markup.h"
@@ -508,6 +510,78 @@ TEST_P(TranslateRandomDocs, WbxmlToTextMatchesTreeDecoderOnRandomDecks) {
           static_cast<char>(rng.uniform_int(0, 255));
       expect_text_decode_matches_tree(junk);
     }
+  }
+}
+
+// The WML 1.1 code pages, written out here independently of wbxml.cpp's
+// tables: every name maps to its token, every token back to its name, and no
+// other byte has a name.
+struct CodePageEntry {
+  const char* name;
+  std::uint8_t token;
+};
+
+constexpr CodePageEntry kWmlTags[] = {
+    {"a", 0x1C},        {"td", 0x1D},       {"tr", 0x1E},
+    {"table", 0x1F},    {"p", 0x20},        {"postfield", 0x21},
+    {"anchor", 0x22},   {"access", 0x23},   {"b", 0x24},
+    {"big", 0x25},      {"br", 0x26},       {"card", 0x27},
+    {"do", 0x28},       {"em", 0x29},       {"fieldset", 0x2A},
+    {"go", 0x2B},       {"head", 0x2C},     {"i", 0x2D},
+    {"img", 0x2E},      {"input", 0x2F},    {"meta", 0x30},
+    {"noop", 0x31},     {"prev", 0x32},     {"onevent", 0x33},
+    {"optgroup", 0x34}, {"option", 0x35},   {"refresh", 0x36},
+    {"select", 0x37},   {"small", 0x38},    {"strong", 0x39},
+    {"template", 0x3B}, {"timer", 0x3C},    {"u", 0x3D},
+    {"setvar", 0x3E},   {"wml", 0x3F},
+};
+
+constexpr CodePageEntry kWmlAttrs[] = {
+    {"accept-charset", 0x05}, {"alt", 0x0C},      {"domain", 0x0F},
+    {"emptyok", 0x10},        {"format", 0x12},   {"height", 0x13},
+    {"label", 0x18},          {"maxlength", 0x1A}, {"method", 0x1B},
+    {"mode", 0x1C},           {"multiple", 0x1D}, {"name", 0x1E},
+    {"optional", 0x21},       {"path", 0x22},     {"src", 0x32},
+    {"title", 0x36},          {"type", 0x37},     {"value", 0x39},
+    {"width", 0x3E},          {"href", 0x4A},     {"align", 0x52},
+    {"columns", 0x53},        {"class", 0x54},    {"id", 0x55},
+};
+
+TEST(WmlCodePage, EveryTagMapsToItsTokenAndBack) {
+  std::size_t named = 0;
+  for (int v = 0; v < 256; ++v) {
+    named += wml_tag_name(static_cast<std::uint8_t>(v)).empty() ? 0 : 1;
+  }
+  EXPECT_EQ(named, std::size(kWmlTags));
+  for (const CodePageEntry& e : kWmlTags) {
+    EXPECT_EQ(wml_tag_token(e.name), e.token) << e.name;
+    EXPECT_EQ(wml_tag_name(e.token), e.name) << e.name;
+  }
+}
+
+TEST(WmlCodePage, EveryAttributeMapsToItsTokenAndBack) {
+  std::size_t named = 0;
+  for (int v = 0; v < 256; ++v) {
+    named += wml_attr_name(static_cast<std::uint8_t>(v)).empty() ? 0 : 1;
+  }
+  EXPECT_EQ(named, std::size(kWmlAttrs));
+  for (const CodePageEntry& e : kWmlAttrs) {
+    EXPECT_EQ(wml_attr_token(e.name), e.token) << e.name;
+    EXPECT_EQ(wml_attr_name(e.token), e.name) << e.name;
+  }
+}
+
+TEST(WmlCodePage, LookupIsExactAndCaseSensitive) {
+  const char* not_tags[] = {"",      "tabl", "tables", "A",    "TABLE",
+                            "Table", "ta",   "t",      "wmlx", " a",
+                            "a ",    "x",    "href",   "\xff"};
+  for (const char* name : not_tags) EXPECT_EQ(wml_tag_token(name), 0) << name;
+  EXPECT_EQ(wml_tag_token(std::string_view{"a\0", 2}), 0);
+  const char* not_attrs[] = {"",     "hre", "hrefs", "HREF", "Href",
+                             "id ",  "i",   "accept", "accept-charsets",
+                             "card", "nam", "names"};
+  for (const char* name : not_attrs) {
+    EXPECT_EQ(wml_attr_token(name), 0) << name;
   }
 }
 

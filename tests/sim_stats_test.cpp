@@ -89,8 +89,119 @@ TEST(StatsRegistryTest, NamedAccessAndReport) {
   const std::string rep = reg.report("node0.");
   EXPECT_NE(rep.find("node0.tx = 3"), std::string::npos);
   EXPECT_NE(rep.find("node0.lat"), std::string::npos);
-  reg.clear();
-  EXPECT_EQ(reg.counter("tx").value(), 0u);
+  StatsRegistry fresh;
+  EXPECT_EQ(fresh.counter("tx").value(), 0u);
+}
+
+TEST(CounterHandleTest, UnusedHandleLeavesNoKey) {
+  StatsRegistry reg;
+  CounterHandle tx{"tx"};
+  CounterHandle rx{"rx"};  // declared, never counted
+  reg.counter(tx).add(2);
+  EXPECT_EQ(reg.counters().size(), 1u);
+  EXPECT_FALSE(reg.counters().contains("rx"));
+  EXPECT_EQ(reg.counters().at("tx").value(), 2u);
+}
+
+TEST(CounterHandleTest, AddZeroCreatesTheKey) {
+  StatsRegistry reg;
+  CounterHandle h{"never_incremented"};
+  reg.counter(h).add(0);
+  ASSERT_TRUE(reg.counters().contains("never_incremented"));
+  EXPECT_EQ(reg.counters().at("never_incremented").value(), 0u);
+}
+
+TEST(CounterHandleTest, HandleAndNameReachTheSameCounter) {
+  StatsRegistry reg;
+  CounterHandle h{"tx"};
+  reg.counter(h).add(1);
+  reg.counter("tx").add(10);
+  reg.counter(h).add(100);
+  EXPECT_EQ(reg.counter("tx").value(), 111u);
+  EXPECT_EQ(&reg.counter(h), &reg.counter("tx"));
+}
+
+// Registries driven by handles and by names are indistinguishable in every
+// export: JSON, text report, and as either side of a merge.
+TEST(CounterHandleTest, HandleAndNameRegistriesExportIdentically) {
+  StatsRegistry by_name;
+  StatsRegistry by_handle;
+  CounterHandle tx{"tx_packets"};
+  CounterHandle rx{"rx_bytes_with_a_name_longer_than_sso"};
+  CounterHandle zero{"zero"};
+  for (int i = 0; i < 5; ++i) {
+    by_name.counter("tx_packets").add();
+    by_name.counter("rx_bytes_with_a_name_longer_than_sso").add(40);
+    by_handle.counter(tx).add();
+    by_handle.counter(rx).add(40);
+  }
+  by_name.counter("zero").add(0);
+  by_handle.counter(zero).add(0);
+  by_name.histogram("lat").record(2.0);
+  by_handle.histogram("lat").record(2.0);
+
+  EXPECT_EQ(by_handle.to_json_string(), by_name.to_json_string());
+  EXPECT_EQ(by_handle.report("n."), by_name.report("n."));
+
+  StatsRegistry into_name = by_name;
+  StatsRegistry into_handle = by_name;
+  into_name.merge(by_name);
+  into_handle.merge(by_handle);
+  EXPECT_EQ(into_handle.to_json_string(), into_name.to_json_string());
+
+  StatsRegistry merged_name;
+  StatsRegistry merged_handle;
+  merged_name.merge(by_name);
+  merged_handle.merge(by_handle);
+  EXPECT_EQ(merged_handle.to_json_string(), merged_name.to_json_string());
+}
+
+TEST(CounterHandleTest, CopiedHandleStartsUnresolved) {
+  StatsRegistry a;
+  StatsRegistry b;
+  CounterHandle h{"tx"};
+  a.counter(h).add(1);
+
+  CounterHandle copy{h};
+  b.counter(copy).add(5);
+  EXPECT_EQ(&b.counter(copy), &b.counter("tx"));
+  EXPECT_EQ(a.counter("tx").value(), 1u);
+  EXPECT_EQ(b.counter("tx").value(), 5u);
+
+  CounterHandle assigned{"tx"};
+  StatsRegistry c;
+  c.counter(assigned).add(7);
+  assigned = h;
+  b.counter(assigned).add(10);
+  EXPECT_EQ(b.counter("tx").value(), 15u);
+  EXPECT_EQ(c.counter("tx").value(), 7u);
+  EXPECT_EQ(a.counter("tx").value(), 1u);
+}
+
+// The pattern every component follows: the registry and its handles are
+// members of one owner. A copy of the owner counts into its own registry.
+TEST(CounterHandleTest, CopiedOwnerCountsIntoItsOwnRegistry) {
+  struct Owner {
+    StatsRegistry stats;
+    CounterHandle c_tx{"tx"};
+    void send() { stats.counter(c_tx).add(); }
+  };
+  Owner original;
+  original.send();
+  Owner copy = original;
+  copy.send();
+  copy.send();
+  EXPECT_EQ(original.stats.counter("tx").value(), 1u);
+  EXPECT_EQ(copy.stats.counter("tx").value(), 3u);
+  EXPECT_NE(&copy.stats.counter(copy.c_tx),
+            &original.stats.counter(original.c_tx));
+
+  Owner assigned;
+  assigned.send();
+  assigned = original;
+  assigned.send();
+  EXPECT_EQ(assigned.stats.counter("tx").value(), 2u);
+  EXPECT_EQ(original.stats.counter("tx").value(), 1u);
 }
 
 TEST(StatsRegistryTest, MergeAddsCountersAndPoolsHistograms) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 namespace mcs::sim {
 namespace {
 
@@ -42,6 +44,21 @@ TEST(UtilTest, Trim) {
 TEST(UtilTest, ToLower) {
   EXPECT_EQ(to_lower("Content-Type"), "content-type");
   EXPECT_EQ(to_lower("abc123"), "abc123");
+}
+
+// One whitespace and case rule for the whole tree: the ASCII helpers agree
+// with the C-locale <cctype> functions on every byte value. Nothing in the
+// simulator calls setlocale, so the C locale is the one that applies.
+TEST(UtilTest, AsciiHelpersMatchCLocaleOnAllBytes) {
+  for (int v = 0; v < 256; ++v) {
+    const char c = static_cast<char>(v);
+    EXPECT_EQ(is_ascii_space(c), std::isspace(v) != 0) << "byte " << v;
+    EXPECT_EQ(ascii_lower(c), static_cast<char>(std::tolower(v)))
+        << "byte " << v;
+    const std::string one(1, c);
+    EXPECT_EQ(trim(one).empty(), std::isspace(v) != 0) << "byte " << v;
+    EXPECT_EQ(to_lower(one), std::string(1, ascii_lower(c))) << "byte " << v;
+  }
 }
 
 TEST(UtilTest, StartsEndsWith) {
