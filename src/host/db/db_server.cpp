@@ -139,7 +139,11 @@ void encode_value(sim::BufWriter& w, const Value& v) {
   }
 }
 
-void encode_row(sim::BufWriter& w, const Row& row) {
+// One row's wire line, written into `out`; the table's row wire cache
+// fills through this (Table::LineEncoder).
+void encode_row(std::string& out, const Row& row) {
+  out.clear();
+  sim::BufWriter w{out};
   for (std::size_t i = 0; i < row.size(); ++i) {
     if (i > 0) w.ch('|');
     encode_value(w, row[i]);
@@ -314,16 +318,15 @@ void DbServer::respond_commit(const std::shared_ptr<Connection>& conn,
 template <typename Visit>
 void DbServer::respond_rows(const std::shared_ptr<Connection>& conn,
                             const Slot& slot, const Visit& visit) {
-  // Rows are encoded straight from the table into a reused per-thread
-  // buffer (slot 2: parse_field and the table name hold 0 and 1), then
-  // copied once into a message with room for the '\n' complete() appends.
+  // Rows' cached wire lines are gathered into a reused per-thread buffer
+  // (slot 2: parse_field and the table name hold 0 and 1), then copied once
+  // into a message with room for the '\n' complete() appends.
   std::string& body = sim::scratch(2);
   body.clear();
   sim::BufWriter w{body};
   std::uint64_t n = 0;
-  visit([&](const Row& r) {
-    w.ch('\n');
-    encode_row(w, r);
+  visit([&](sim::Slice line) {
+    w.ch('\n').put(line);
     ++n;
   });
   const sim::NumStr count = sim::u64s(n);
@@ -471,7 +474,7 @@ void DbServer::on_line(const std::shared_ptr<Connection>& conn,
     const Value pk =
         parse_field(f[2], t->columns()[t->primary_key_col()].type);
     respond_rows(conn, slot, [&](const auto& fn) {
-      if (const Row* r = t->find(pk); r != nullptr) fn(*r);
+      t->each_line_by(t->primary_key_col(), pk, encode_row, fn);
     });
     return;
   }
@@ -487,8 +490,9 @@ void DbServer::on_line(const std::shared_ptr<Connection>& conn,
       return;
     }
     const Value v = parse_field(f[3], t->columns()[col].type);
-    respond_rows(conn, slot,
-                 [&](const auto& fn) { t->each_by(col, v, fn); });
+    respond_rows(conn, slot, [&](const auto& fn) {
+      t->each_line_by(col, v, encode_row, fn);
+    });
     return;
   }
   if (cmd == "SCAN" && nf == 2) {
@@ -497,7 +501,8 @@ void DbServer::on_line(const std::shared_ptr<Connection>& conn,
       respond(conn, slot, "ERR no-table");
       return;
     }
-    respond_rows(conn, slot, [&](const auto& fn) { t->each(fn); });
+    respond_rows(conn, slot,
+                 [&](const auto& fn) { t->each_line(encode_row, fn); });
     return;
   }
   respond(conn, slot, "ERR bad-command");

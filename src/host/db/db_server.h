@@ -166,8 +166,8 @@ class DbServer {
                std::string&& msg);
   void respond_commit(const std::shared_ptr<Connection>& conn,
                       const Slot& slot, std::string&& msg);
-  // Answer "ROWS n" plus the rows `visit(fn)` passes to `fn`, encoded
-  // straight from the table (GET, FINDBY and SCAN alike).
+  // Answer "ROWS n" plus the wire lines `visit(fn)` passes to `fn`, read
+  // from the table's row wire cache (GET, FINDBY and SCAN alike).
   template <typename Visit>
   void respond_rows(const std::shared_ptr<Connection>& conn, const Slot& slot,
                     const Visit& visit);

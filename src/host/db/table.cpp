@@ -36,9 +36,10 @@ bool Table::insert(Row row) {
     s.row = std::move(row);
     s.live = true;
     s.next_free = kNoSlot;
+    s.line_ok = false;
   } else {
     slot = slots_.size();
-    slots_.push_back(Slot{std::move(row), true});
+    slots_.push_back(Slot{std::move(row), true, kNoSlot, {}, false});
   }
   primary_[slots_[slot].row[pk_col_]] = slot;
   index_insert(slot);
@@ -59,6 +60,7 @@ bool Table::update(const Value& pk, std::size_t col, const Value& v) {
     index_erase(slot);
     primary_.erase(it);
     slots_[slot].row[col] = v;
+    slots_[slot].line_ok = false;
     primary_[v] = slot;
     index_insert(slot);
     MCS_INVARIANT(primary_.size() == live_rows_,
@@ -68,6 +70,7 @@ bool Table::update(const Value& pk, std::size_t col, const Value& v) {
   const std::size_t slot = it->second;
   index_erase(slot);
   slots_[slot].row[col] = v;
+  slots_[slot].line_ok = false;
   index_insert(slot);
   MCS_INVARIANT(slots_[slot].live,
                 "non-key update must target a live slot");
@@ -84,6 +87,7 @@ bool Table::update_row(const Value& pk, Row row) {
   index_erase(slot);
   primary_.erase(it);
   slots_[slot].row = std::move(row);
+  slots_[slot].line_ok = false;
   primary_[slots_[slot].row[pk_col_]] = slot;
   index_insert(slot);
   MCS_INVARIANT(primary_.size() == live_rows_,
@@ -98,6 +102,7 @@ bool Table::erase(const Value& pk) {
   index_erase(slot);
   primary_.erase(it);
   slots_[slot].live = false;
+  slots_[slot].line_ok = false;
   slots_[slot].row.clear();
   slots_[slot].next_free = free_head_;
   free_head_ = slot;

@@ -38,12 +38,30 @@ class Table {
   // forms see the same rows in the same order.
   template <typename Fn>
   void each(Fn&& fn) const {
-    for (const Slot& s : slots_) {
-      if (s.live) fn(s.row);
-    }
+    each_slot([&](const Slot& s) { fn(s.row); });
   }
   template <typename Fn>
-  void each_by(std::size_t col, const Value& v, Fn&& fn) const;
+  void each_by(std::size_t col, const Value& v, Fn&& fn) const {
+    each_slot_by(col, v, [&](const Slot& s) { fn(s.row); });
+  }
+
+  // Row wire cache (DESIGN.md §12.4): each_line() and each_line_by() visit
+  // the same rows as each() and each_by(), passing `fn` the row's wire text
+  // instead. `encode(out, row)` is the server's line encoder; it writes the
+  // line into `out`, which it clears first. A slot keeps the line until a
+  // mutation of that slot (insert, update, update_row, erase) invalidates
+  // it, so a row is encoded on the first read after each write, not on
+  // every read.
+  using LineEncoder = void (*)(std::string& out, const Row& row);
+  template <typename Fn>
+  void each_line(LineEncoder encode, Fn&& fn) const {
+    each_slot([&](const Slot& s) { fn(line_of(s, encode)); });
+  }
+  template <typename Fn>
+  void each_line_by(std::size_t col, const Value& v, LineEncoder encode,
+                    Fn&& fn) const {
+    each_slot_by(col, v, [&](const Slot& s) { fn(line_of(s, encode)); });
+  }
 
   std::vector<Row> scan(
       const std::function<bool(const Row&)>& predicate) const;
@@ -66,6 +84,10 @@ class Table {
     Row row;
     bool live = false;
     std::size_t next_free = kNoSlot;  // intrusive free-list link
+    // The row's wire text, valid while line_ok; every mutation of the slot
+    // clears line_ok and the next read re-encodes into the same storage.
+    mutable std::string line;
+    mutable bool line_ok = false;
   };
   struct ValueLess {
     bool operator()(const Value& a, const Value& b) const {
@@ -73,6 +95,22 @@ class Table {
     }
   };
   using Index = std::multimap<Value, std::size_t, ValueLess>;
+
+  template <typename Fn>
+  void each_slot(Fn&& fn) const {
+    for (const Slot& s : slots_) {
+      if (s.live) fn(s);
+    }
+  }
+  template <typename Fn>
+  void each_slot_by(std::size_t col, const Value& v, Fn&& fn) const;
+  static const std::string& line_of(const Slot& s, LineEncoder encode) {
+    if (!s.line_ok) {
+      encode(s.line, s.row);
+      s.line_ok = true;
+    }
+    return s.line;
+  }
 
   void index_insert(std::size_t slot);
   void index_erase(std::size_t slot);
@@ -88,18 +126,20 @@ class Table {
 };
 
 template <typename Fn>
-void Table::each_by(std::size_t col, const Value& v, Fn&& fn) const {
+void Table::each_slot_by(std::size_t col, const Value& v, Fn&& fn) const {
   if (col == pk_col_) {
-    if (const Row* r = find(v); r != nullptr) fn(*r);
+    if (auto it = primary_.find(v); it != primary_.end()) {
+      fn(slots_[it->second]);
+    }
     return;
   }
   if (auto idx = indexes_.find(col); idx != indexes_.end()) {
     auto [lo, hi] = idx->second.equal_range(v);
-    for (auto it = lo; it != hi; ++it) fn(slots_[it->second].row);
+    for (auto it = lo; it != hi; ++it) fn(slots_[it->second]);
     return;
   }
-  each([&](const Row& r) {
-    if (value_eq(r[col], v)) fn(r);
+  each_slot([&](const Slot& s) {
+    if (value_eq(s.row[col], v)) fn(s);
   });
 }
 

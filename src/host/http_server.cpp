@@ -215,7 +215,7 @@ std::shared_ptr<HttpClient::PooledConn> HttpClient::conn_for(
   return conn;
 }
 
-void HttpClient::request(net::Endpoint server, HttpRequest req,
+void HttpClient::request(net::Endpoint server, const HttpRequest& req,
                          ResponseCallback cb) {
   MCS_ASSERT(cb != nullptr,
              "every request must have a completion callback (errors are "
@@ -235,7 +235,7 @@ void HttpClient::get(net::Endpoint server, const std::string& path,
   req.method = "GET";
   req.path = path;
   req.set_header("Host", server.to_string());
-  request(server, std::move(req), std::move(cb));
+  request(server, req, std::move(cb));
 }
 
 void HttpClient::reset_pool() {

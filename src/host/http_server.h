@@ -117,7 +117,8 @@ class HttpClient {
 
   // Issue a request; reuses an existing connection to `server` when one is
   // open, otherwise dials. Calls back with nullopt on connection failure.
-  void request(net::Endpoint server, HttpRequest req, ResponseCallback cb);
+  void request(net::Endpoint server, const HttpRequest& req,
+               ResponseCallback cb);
   void get(net::Endpoint server, const std::string& path, ResponseCallback cb);
 
   // Close all pooled connections.

@@ -223,16 +223,19 @@ void WapGateway::handle_request(const std::string& payload,
       ++stats_.translations;
       obs::metric_add(m_translations_);
       // Fused zero-copy translation (translate.cpp): parse + translate +
-      // adapt + serialize (+ WBXML) in one arena pass into reused buffers,
-      // byte-identical to the legacy tree pipeline.
-      translate_html(body, MarkupKind::kWml, cfg_.adaptation, wml_buf_,
-                     cfg_.encode_wbxml ? &wbxml_buf_ : nullptr);
-      stats_.wml_bytes_out += wml_buf_.size();
+      // adapt + serialize (+ WBXML) in one arena pass, once per distinct
+      // body; a repeated body reads the memoized output.
+      const TranslatedPage& page = pages_.get(
+          body, 0, [this](std::string_view html, TranslatedPage& p) {
+            translate_html(html, MarkupKind::kWml, cfg_.adaptation, p.text,
+                           cfg_.encode_wbxml ? &p.wbxml : nullptr);
+          });
+      stats_.wml_bytes_out += page.text.size();
       // WSP framing, same bytes as wsp_encode_response(200, type, body).
       std::string out =
           cfg_.encode_wbxml
-              ? sim::cat("200 application/vnd.wap.wmlc\n", wbxml_buf_)
-              : sim::cat("200 text/vnd.wap.wml\n", wml_buf_);
+              ? sim::cat("200 application/vnd.wap.wmlc\n", page.wbxml)
+              : sim::cat("200 text/vnd.wap.wml\n", page.text);
       stats_.air_bytes_out += out.size();
       obs::metric_add(m_air_bytes_, out.size());
       MCS_INVARIANT(stats_.translations <= stats_.requests,
@@ -320,12 +323,15 @@ void IModeGateway::handle(const host::HttpRequest& req,
                      [this, xlate, body = std::move(resp->body),
                       respond = std::move(respond)]() mutable {
       obs::end_span(xlate, tcp_.sim().now());
-      // Fused zero-copy translation into the reused buffer (translate.cpp).
-      translate_html(body, MarkupKind::kChtml, cfg_.adaptation, chtml_buf_);
-      stats_.chtml_bytes_out += chtml_buf_.size();
+      // Fused zero-copy translation (translate.cpp), once per distinct body.
+      const TranslatedPage& page = pages_.get(
+          body, 0, [this](std::string_view html, TranslatedPage& p) {
+            translate_html(html, MarkupKind::kChtml, cfg_.adaptation, p.text);
+          });
+      stats_.chtml_bytes_out += page.text.size();
       obs::metric_add(m_translations_);
       respond(host::HttpResponse::make(200, "text/html; charset=cp932",
-                                       chtml_buf_));
+                                       page.text));
     });
   });
 }

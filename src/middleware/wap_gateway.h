@@ -9,6 +9,7 @@
 #include "obs/metrics.h"
 #include "security/wtls.h"
 #include "middleware/adaptation.h"
+#include "middleware/page_memo.h"
 #include "middleware/wtp.h"
 
 namespace mcs::middleware {
@@ -40,6 +41,14 @@ std::optional<WspResponse> wsp_decode_response(const std::string& payload);
 // Pre-shared CA MAC key that phones ship with (models the root certificate
 // burned into the handset firmware).
 inline constexpr std::uint64_t kDefaultWtlsCaKey = 0xCA11AB1E5EC12E7ull;
+
+// A gateway's translation of one HTML body, as its page memo keeps it:
+// WML or cHTML text, plus the WBXML deck when the WAP gateway encodes one.
+struct TranslatedPage {
+  std::string text;
+  std::string wbxml;
+  std::size_t bytes() const { return text.capacity() + wbxml.capacity(); }
+};
 
 struct WapGatewayConfig {
   std::uint16_t wtp_port = kWapGatewayPort;
@@ -111,10 +120,8 @@ class WapGateway {
   obs::TsCounter* m_translations_ =
       obs::metric_counter("middleware.translations");
   obs::TsCounter* m_air_bytes_ = obs::metric_counter("middleware.air_bytes");
-  // Translation output buffers, reused across requests so steady-state
-  // translation allocates nothing (DESIGN.md §12).
-  std::string wml_buf_;
-  std::string wbxml_buf_;
+  // HTML body -> WML + WBXML, translated once per distinct body (§12.4).
+  PageMemo<TranslatedPage> pages_{kGatewayMemoEntries, kGatewayMemoBytes};
 };
 
 inline constexpr std::uint16_t kIModeGatewayPort = 8001;
@@ -164,8 +171,8 @@ class IModeGateway {
   obs::TsCounter* m_requests_ = obs::metric_counter("middleware.requests");
   obs::TsCounter* m_translations_ =
       obs::metric_counter("middleware.translations");
-  // Reused translation output buffer (DESIGN.md §12).
-  std::string chtml_buf_;
+  // HTML body -> cHTML, translated once per distinct body (§12.4).
+  PageMemo<TranslatedPage> pages_{kGatewayMemoEntries, kGatewayMemoBytes};
 };
 
 }  // namespace mcs::middleware

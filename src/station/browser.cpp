@@ -99,7 +99,7 @@ void MicroBrowser::browse(const std::string& url, PageCallback cb) {
       cb(std::move(r));
       return;
     }
-    const std::size_t air = resp->serialize().size();
+    const std::size_t air = resp->wire_size();
     battery_.drain_rx_bytes(air);
     finish_with_content(url, resp->status, std::move(resp->body), air,
                         started, /*was_wbxml=*/false, page, std::move(cb));
@@ -211,23 +211,32 @@ void MicroBrowser::finish_with_content(const std::string& url, int status,
   r.over_air_bytes = air_bytes;
   r.network_time = station_.sim().now() - started;
 
-  // Decode WBXML decks back to WML text.
+  // Decode WBXML decks back to WML text and scan the page, once per
+  // distinct content; a repeated page reads the memoized scan.
+  const ScannedPage& scan = pages_.get(
+      content, was_wbxml ? 1 : 0,
+      [was_wbxml](std::string_view in, ScannedPage& p) {
+        p.ok = !was_wbxml || middleware::wbxml_to_text(in, p.deck);
+        if (p.ok) {
+          p.elements = middleware::scan_markup(
+              was_wbxml ? std::string_view{p.deck} : in, p.title, p.text);
+        }
+      });
+  if (!scan.ok) {
+    stats_.counter(c_decode_errors_).add();
+    r.ok = false;
+    r.total_time = station_.sim().now() - started;
+    cb(std::move(r));
+    return;
+  }
   if (was_wbxml) {
-    if (!middleware::wbxml_to_text(content, deck_buf_)) {
-      stats_.counter(c_decode_errors_).add();
-      r.ok = false;
-      r.total_time = station_.sim().now() - started;
-      cb(std::move(r));
-      return;
-    }
-    r.content = deck_buf_;
+    r.content = scan.deck;
   } else {
     r.content = std::move(content);
   }
-
-  r.elements = middleware::scan_markup(r.content, title_buf_, text_buf_);
-  r.title = title_buf_;
-  r.text = text_buf_;
+  r.elements = scan.elements;
+  r.title = scan.title;
+  r.text = scan.text;
   r.parse_time = sim::Time::micros(static_cast<std::int64_t>(
       device_.parse_ms_per_kb() * 1000.0 *
       static_cast<double>(r.content.size()) / 1024.0));

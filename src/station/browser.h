@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 
+#include "middleware/page_memo.h"
 #include "middleware/wap_gateway.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -111,11 +112,22 @@ class MicroBrowser {
   sim::CounterHandle c_wtls_handshakes_{"wtls_handshakes"};
   sim::CounterHandle c_wtls_failures_{"wtls_failures"};
   sim::CounterHandle c_wtls_record_errors_{"wtls_record_errors"};
-  // Reused per-page buffers: the decoded deck, its title and its text are
-  // produced here, then copied once into the page's own strings.
-  std::string deck_buf_;
-  std::string title_buf_;
-  std::string text_buf_;
+  // The station's decode and scan of one delivered page, as the page memo
+  // keeps it (DESIGN.md §12.4).
+  struct ScannedPage {
+    bool ok = false;   // false: a WBXML deck that failed to decode
+    std::string deck;  // the decoded WML text (WBXML content only)
+    std::string title;
+    std::string text;
+    std::size_t elements = 0;
+    std::size_t bytes() const {
+      return deck.capacity() + title.capacity() + text.capacity();
+    }
+  };
+  // Delivered content (tagged WBXML or text) -> its scan, computed once per
+  // distinct page and then copied into each PageResult.
+  middleware::PageMemo<ScannedPage> pages_{middleware::kStationMemoEntries,
+                                           middleware::kStationMemoBytes};
   // Telemetry handles, cached at construction (obs/metrics.h): null when no
   // registry is ambient, so each update is one predictable branch.
   obs::TsCounter* m_browses_ = obs::metric_counter("station.browse");

@@ -359,6 +359,126 @@ TEST_F(DbNetFixture, UpdateDeleteFindByScan) {
   EXPECT_DOUBLE_EQ(std::get<double>((*updated)[2]), 42.0);
 }
 
+// --- Row wire cache ----------------------------------------------------------
+// SCAN, GET and FINDBY answer from the table's cached wire lines; on the raw
+// wire every answer must equal a fresh encoding of the rows as they are now.
+
+// The server's raw answer to one command, over a connection of its own.
+std::string raw_answer(DbNetFixture& f, const std::string& command) {
+  auto sock = f.app_tcp->connect({f.db_node->addr(), 5432});
+  std::string wire;
+  sock->on_data = [&](const std::string& bytes) { wire += bytes; };
+  sock->send(command + "\n");
+  f.sim.run();
+  sock->close();
+  f.sim.run();
+  return wire;
+}
+
+// A fresh encoding: cells in to_string() form, text escaped, '|'-joined.
+std::string fresh_line(const Row& row) {
+  std::vector<std::string> cells;
+  for (const Value& v : row) cells.push_back(to_string(v));
+  return join_escaped(cells);
+}
+
+std::string rows_answer(const std::vector<Row>& rows) {
+  std::string out = sim::strf("ROWS %zu", rows.size());
+  for (const Row& r : rows) out += "\n" + fresh_line(r);
+  return out + "\n";
+}
+
+// SCAN, GET on every key and FINDBY on every cell all match a fresh
+// encoding of the table's current rows.
+void expect_wire_fresh(DbNetFixture& f) {
+  const Table& t = *f.db.table("products");
+  EXPECT_EQ(raw_answer(f, "SCAN products"), rows_answer(t.all()));
+  for (const Row& r : t.all()) {
+    EXPECT_EQ(raw_answer(f, "GET products " + esc(to_string(r[0]))),
+              rows_answer({r}));
+    for (std::size_t col = 1; col < r.size(); ++col) {
+      // FINDBY can only name a value whose wire text reads back as it.
+      const std::string cell = to_string(r[col]);
+      if (cell.empty() ||
+          !value_eq(parse_value(cell, type_of(r[col])), r[col])) {
+        continue;
+      }
+      EXPECT_EQ(raw_answer(f, sim::strf("FINDBY products %zu ", col) +
+                                  esc(cell)),
+                rows_answer(t.find_by(col, r[col])))
+          << "column " << col;
+    }
+  }
+}
+
+TEST_F(DbNetFixture, CachedLinesAreTheServerEncoding) {
+  start();
+  const std::vector<std::vector<std::string>> rows = {
+      {"1", "Smart Phone", "299.99"},
+      {"2", "pipe|and%percent", "0.1"},
+      {"3", "two\nlines and a back\\slash", "1e+21"},
+      {"4", "", "-3.14159265"},
+  };
+  for (const auto& r : rows) {
+    client->insert(0, "products", r, [](DbClient::Result r2) {
+      ASSERT_TRUE(r2.ok);
+    });
+  }
+  sim.run();
+  // The exact wire text, spelled out once for the awkward cells.
+  EXPECT_EQ(raw_answer(*this, "GET products 2"),
+            "ROWS 1\n2|pipe%7Cand%25percent|0.1\n");
+  EXPECT_EQ(raw_answer(*this, "GET products 3"),
+            "ROWS 1\n3|two%0Alines%20and%20a%20back\\slash|1e+21\n");
+  EXPECT_EQ(raw_answer(*this, "GET products 4"), "ROWS 1\n4||-3.14159\n");
+  // Read twice: the second answers come from the cache.
+  expect_wire_fresh(*this);
+  expect_wire_fresh(*this);
+}
+
+TEST_F(DbNetFixture, WireAnswersFollowEveryMutation) {
+  db.table("products")->create_index(1);
+  start();
+  for (int i = 1; i <= 5; ++i) {
+    client->insert(0, "products",
+                   {sim::strf("%d", i), i % 2 ? "odd|one" : "even one",
+                    sim::strf("%d.25", i)},
+                   [](DbClient::Result) {});
+  }
+  sim.run();
+  expect_wire_fresh(*this);
+  auto step = [&](auto&& mutate) {
+    mutate();
+    sim.run();
+    expect_wire_fresh(*this);
+  };
+  // Non-key update (unindexed, then indexed column).
+  step([&] { client->update(0, "products", "2", 2, "8.5", [](auto) {}); });
+  step([&] { client->update(0, "products", "2", 1, "odd|one", [](auto) {}); });
+  // Primary-key update: the old key answers no rows.
+  step([&] { client->update(0, "products", "3", 0, "30", [](auto) {}); });
+  EXPECT_EQ(raw_answer(*this, "GET products 3"), "ROWS 0\n");
+  // Erase, then an insert into the reused slot.
+  step([&] { client->erase(0, "products", "4", [](auto) {}); });
+  step([&] {
+    client->insert(0, "products", {"6", "re used", "6.5"}, [](auto) {});
+  });
+  // update_row, through a rolled-back transaction that read its own writes.
+  Table& t = *db.table("products");
+  const std::vector<Row> before = t.all();
+  auto txn = db.begin();
+  ASSERT_TRUE(txn->update("products", Value{std::int64_t{1}}, 2, Value{99.0}));
+  ASSERT_TRUE(txn->update("products", Value{std::int64_t{5}}, 0,
+                          Value{std::int64_t{50}}));
+  ASSERT_TRUE(txn->erase("products", Value{std::int64_t{6}}));
+  ASSERT_TRUE(txn->insert("products", {std::int64_t{7}, std::string{"tmp"},
+                                       7.0}));
+  expect_wire_fresh(*this);
+  txn->abort();
+  expect_wire_fresh(*this);
+  EXPECT_EQ(raw_answer(*this, "SCAN products"), rows_answer(before));
+}
+
 TEST_F(DbNetFixture, ErrorsAreReported) {
   start();
   DbClient::Result bad_table, dup;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "sim/util.h"
 
 namespace mcs::host::db {
@@ -211,6 +216,144 @@ TEST(TableTest, VisitorsMatchCopyingQueries) {
   const Value price{6.0};
   EXPECT_EQ(pks(visit_by(2, price)), (std::vector<std::int64_t>{6}));
   EXPECT_EQ(visit_by(2, price), t->find_by(2, price));
+}
+
+// --- Row wire cache ----------------------------------------------------------
+// each_line()/each_line_by() must always pass the encoding of the row as it
+// is now: a line encoded before a mutation is never served after it.
+
+int g_line_encodes = 0;
+
+// A stand-in for the server's encoder: cells in to_string() form, '|'-joined.
+void test_line(std::string& out, const Row& row) {
+  ++g_line_encodes;
+  out.clear();
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    if (i > 0) out += '|';
+    out += to_string(row[i]);
+  }
+}
+
+std::string fresh_line(const Row& row) {
+  std::string out;
+  test_line(out, row);
+  --g_line_encodes;  // the oracle's own encodes do not count
+  return out;
+}
+
+// Every read path's lines equal a fresh encoding of the rows it visits.
+void expect_lines_fresh(const Table& t) {
+  std::vector<std::string> got;
+  std::vector<std::string> want;
+  t.each_line(test_line, [&](std::string_view l) { got.emplace_back(l); });
+  t.each([&](const Row& r) { want.push_back(fresh_line(r)); });
+  EXPECT_EQ(got, want);
+  t.each([&](const Row& r) {
+    for (std::size_t col = 0; col < r.size(); ++col) {
+      std::vector<std::string> by_got;
+      std::vector<std::string> by_want;
+      t.each_line_by(col, r[col], test_line,
+                     [&](std::string_view l) { by_got.emplace_back(l); });
+      t.each_by(col, r[col],
+                [&](const Row& m) { by_want.push_back(fresh_line(m)); });
+      EXPECT_EQ(by_got, by_want) << "column " << col;
+    }
+  });
+}
+
+std::vector<std::string> lines_by(const Table& t, std::size_t col,
+                                  const Value& v) {
+  std::vector<std::string> out;
+  t.each_line_by(col, v, test_line,
+                 [&](std::string_view l) { out.emplace_back(l); });
+  return out;
+}
+
+TEST(TableLineCacheTest, EncodesOncePerWriteNotPerRead) {
+  auto db_ptr = make_shop();
+  Table* t = db_ptr->table("products");
+  for (int i = 1; i <= 4; ++i) {
+    ASSERT_TRUE(t->insert({std::int64_t{i}, sim::strf("item %d", i),
+                           1.25 * i, std::int64_t{100}}));
+  }
+  g_line_encodes = 0;
+  for (int read = 0; read < 5; ++read) {
+    t->each_line(test_line, [](std::string_view) {});
+  }
+  EXPECT_EQ(g_line_encodes, 4);
+  // One sale touches one row: the next scan re-encodes that row only.
+  ASSERT_TRUE(t->update(Value{std::int64_t{3}}, 3, Value{std::int64_t{99}}));
+  t->each_line(test_line, [](std::string_view) {});
+  t->each_line(test_line, [](std::string_view) {});
+  EXPECT_EQ(g_line_encodes, 5);
+  EXPECT_EQ(lines_by(*t, 0, Value{std::int64_t{3}}),
+            (std::vector<std::string>{"3|item 3|3.75|99"}));
+  EXPECT_EQ(g_line_encodes, 5);
+}
+
+TEST(TableLineCacheTest, EveryMutationInvalidatesItsSlot) {
+  auto db_ptr = make_shop();
+  Table* t = db_ptr->table("products");
+  t->create_index(1);
+  for (int i = 1; i <= 6; ++i) {
+    ASSERT_TRUE(t->insert({std::int64_t{i}, sim::strf("cat%d", i % 2),
+                           0.5 * i, std::int64_t{i}}));
+  }
+  expect_lines_fresh(*t);
+  // Non-key update, on an indexed and an unindexed column.
+  ASSERT_TRUE(t->update(Value{std::int64_t{2}}, 2, Value{7.125}));
+  expect_lines_fresh(*t);
+  ASSERT_TRUE(t->update(Value{std::int64_t{2}}, 1, Value{std::string{"cat9"}}));
+  expect_lines_fresh(*t);
+  // Primary-key move: the row answers under its new key only.
+  ASSERT_TRUE(t->update(Value{std::int64_t{3}}, 0, Value{std::int64_t{30}}));
+  expect_lines_fresh(*t);
+  EXPECT_TRUE(lines_by(*t, 0, Value{std::int64_t{3}}).empty());
+  EXPECT_EQ(lines_by(*t, 0, Value{std::int64_t{30}}),
+            (std::vector<std::string>{"30|cat1|1.5|3"}));
+  // Whole-row replacement, including a key change.
+  ASSERT_TRUE(t->update_row(Value{std::int64_t{4}},
+                            {std::int64_t{40}, std::string{"new"}, 4.5,
+                             std::int64_t{0}}));
+  expect_lines_fresh(*t);
+  // Erase, then an insert that reuses the erased slot.
+  ASSERT_TRUE(t->erase(Value{std::int64_t{5}}));
+  expect_lines_fresh(*t);
+  ASSERT_TRUE(t->insert({std::int64_t{50}, std::string{"reused"}, 5.5,
+                         std::int64_t{5}}));
+  expect_lines_fresh(*t);
+  EXPECT_EQ(lines_by(*t, 0, Value{std::int64_t{50}}),
+            (std::vector<std::string>{"50|reused|5.5|5"}));
+}
+
+TEST(TableLineCacheTest, RolledBackTransactionServesTheRestoredRows) {
+  auto db_ptr = make_shop();
+  Database& db = *db_ptr;
+  Table* t = db.table("products");
+  for (int i = 1; i <= 4; ++i) {
+    db.insert("products", {std::int64_t{i}, sim::strf("p%d", i), 1.0 * i,
+                           std::int64_t{10}});
+  }
+  expect_lines_fresh(*t);
+  std::vector<std::string> before;
+  t->each_line(test_line, [&](std::string_view l) { before.emplace_back(l); });
+  auto txn = db.begin();
+  ASSERT_TRUE(txn->update("products", Value{std::int64_t{1}}, 3,
+                          Value{std::int64_t{9}}));
+  ASSERT_TRUE(txn->update("products", Value{std::int64_t{2}}, 0,
+                          Value{std::int64_t{20}}));
+  ASSERT_TRUE(txn->erase("products", Value{std::int64_t{3}}));
+  ASSERT_TRUE(txn->insert("products", {std::int64_t{5}, std::string{"tmp"},
+                                       5.0, std::int64_t{1}}));
+  // Reads inside the transaction fill the cache with its uncommitted rows.
+  expect_lines_fresh(*t);
+  txn->abort();
+  expect_lines_fresh(*t);
+  std::vector<std::string> after;
+  t->each_line(test_line, [&](std::string_view l) { after.emplace_back(l); });
+  std::sort(before.begin(), before.end());
+  std::sort(after.begin(), after.end());
+  EXPECT_EQ(after, before);
 }
 
 TEST(TransactionTest, CommitPersists) {

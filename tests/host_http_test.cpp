@@ -17,6 +17,22 @@ TEST(HttpMessageTest, RequestSerializeIncludesContentLength) {
   EXPECT_NE(wire.find("\r\n\r\nitem=5"), std::string::npos);
 }
 
+TEST(HttpMessageTest, WireSizeIsTheSerializedSize) {
+  // The station prices received pages with wire_size(), so it must count
+  // exactly the bytes serialize() would build.
+  for (const int status : {200, 404, 502, 99, 1000}) {
+    for (const std::string& body :
+         {std::string{}, std::string{"x"}, std::string(3000, 'b')}) {
+      HttpResponse r = HttpResponse::make(status, "text/html; charset=cp932",
+                                          body);
+      EXPECT_EQ(r.wire_size(), r.serialize().size()) << status;
+      r.set_header("Set-Cookie", "session=abc; Path=/");
+      r.set_header("Content-Length", "7");
+      EXPECT_EQ(r.wire_size(), r.serialize().size()) << status;
+    }
+  }
+}
+
 TEST(HttpMessageTest, HeaderLookupIsCaseInsensitive) {
   HttpResponse resp;
   resp.set_header("Content-Type", "text/html");

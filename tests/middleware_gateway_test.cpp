@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "middleware/translate.h"
 #include "middleware/wap_gateway.h"
 #include "middleware/wbxml.h"
 #include "net/network.h"
+#include "sim/random.h"
+#include "sim/util.h"
 
 namespace mcs::middleware {
 namespace {
@@ -261,6 +264,191 @@ TEST_F(GatewayFixture, IModePersistentConnectionHandlesManyRequests) {
   EXPECT_EQ(done, 5);
   // Always-on: the phone used one TCP connection for everything.
   EXPECT_EQ(phone_http.stats().counter("connections_opened").value(), 1u);
+}
+
+// --- Page memo: repeated bodies translate once, answers stay the same -----
+
+// Pages the memo tests serve: parser quirks, two equal-length bodies that
+// differ in one byte, and random tag soup.
+std::vector<std::string> memo_pages() {
+  std::vector<std::string> pages = {
+      "<html><head><title>Shop</title></head><body><p>offers</p></body>",
+      "<ul><li>one<li>two<li>three</ul>",
+      "<img src=x.png alt='pic'><br><hr>",
+      "<table><tr><td>a</td><td>b</td></tr></table>",
+      "<script>if (a<b) x('</p>');</script><p>visible</p>",
+      "<p>item A</p>",
+      "<p>item B</p>",
+      "",
+  };
+  static const char* kTags[] = {"p", "b", "a", "img", "table", "td",
+                                "li", "form", "h2", "div", "card"};
+  sim::Rng rng{1601};
+  for (int i = 0; i < 8; ++i) {
+    std::string html;
+    const int n = static_cast<int>(rng.uniform_int(1, 12));
+    for (int j = 0; j < n; ++j) {
+      const char* tag = kTags[rng.uniform_int(0, std::size(kTags) - 1)];
+      html += sim::strf("<%s alt='w%d'>t%lld ", tag, j,
+                        static_cast<long long>(rng.uniform_int(0, 999)));
+      if (rng.bernoulli(0.5)) html += sim::strf("</%s>", tag);
+    }
+    pages.push_back(html);
+  }
+  return pages;
+}
+
+struct MemoFixture : GatewayFixture {
+  MemoFixture() : pages{memo_pages()} {
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+      web_server->add_content(sim::strf("/p%zu", i), "text/html", pages[i]);
+    }
+  }
+
+  // One WSP exchange through the WAP gateway on `port`.
+  std::string wap_fetch(std::uint16_t port, const std::string& path) {
+    WtpEndpoint phone_wtp{*phone_udp, static_cast<std::uint16_t>(port + 100)};
+    std::optional<std::string> result;
+    phone_wtp.invoke({gateway->addr(), port},
+                     wsp_encode_request(web_host() + path),
+                     [&](std::optional<std::string> r) { result = r; });
+    sim.run();
+    return result.value_or("<no answer>");
+  }
+
+  std::string imode_fetch(host::HttpClient& phone_http,
+                          const std::string& path) {
+    std::optional<host::HttpResponse> got;
+    phone_http.get({gateway->addr(), kIModeGatewayPort},
+                   "/" + web_host() + path,
+                   [&](std::optional<host::HttpResponse> r) { got = r; });
+    sim.run();
+    return got.has_value() && got->status == 200 ? got->body : "<failed>";
+  }
+
+  std::vector<std::string> pages;
+};
+
+std::string expected_wsp(const std::string& html, bool wbxml) {
+  std::string text;
+  std::string deck;
+  translate_html(html, MarkupKind::kWml, AdaptationConfig{}, text,
+                 wbxml ? &deck : nullptr);
+  return wbxml ? wsp_encode_response(200, "application/vnd.wap.wmlc", deck)
+               : wsp_encode_response(200, "text/vnd.wap.wml", text);
+}
+
+std::string expected_chtml(const std::string& html) {
+  std::string text;
+  translate_html(html, MarkupKind::kChtml, AdaptationConfig{}, text);
+  return text;
+}
+
+TEST_F(MemoFixture, WapFirstAndRepeatedAnswersEqualFreshTranslation) {
+  for (const bool wbxml : {true, false}) {
+    WapGatewayConfig cfg;
+    cfg.encode_wbxml = wbxml;
+    cfg.wtp_port = wbxml ? 9201 : 9202;
+    WapGateway gw{*gateway, *gw_udp, *gw_tcp, dotted_quad_resolver(), cfg};
+    for (int pass = 0; pass < 3; ++pass) {
+      for (std::size_t i = 0; i < pages.size(); ++i) {
+        EXPECT_EQ(wap_fetch(cfg.wtp_port, sim::strf("/p%zu", i)),
+                  expected_wsp(pages[i], wbxml))
+            << "wbxml=" << wbxml << " pass " << pass << " page " << i;
+      }
+    }
+    EXPECT_EQ(gw.stats().translations, 3 * pages.size());
+  }
+}
+
+TEST_F(MemoFixture, IModeFirstAndRepeatedAnswersEqualFreshTranslation) {
+  IModeGateway gw{*gw_tcp, dotted_quad_resolver()};
+  host::HttpClient phone_http{*phone_tcp};
+  for (int pass = 0; pass < 3; ++pass) {
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+      EXPECT_EQ(imode_fetch(phone_http, sim::strf("/p%zu", i)),
+                expected_chtml(pages[i]))
+          << "pass " << pass << " page " << i;
+    }
+  }
+  EXPECT_EQ(gw.stats().requests, 3 * pages.size());
+}
+
+TEST_F(MemoFixture, EqualLengthBodiesDifferingInOneByteBothTranslate) {
+  // pages[5] and pages[6] are "<p>item A</p>" and "<p>item B</p>".
+  ASSERT_EQ(pages[5].size(), pages[6].size());
+  WapGateway wap{*gateway, *gw_udp, *gw_tcp, dotted_quad_resolver()};
+  IModeGateway imode{*gw_tcp, dotted_quad_resolver()};
+  host::HttpClient phone_http{*phone_tcp};
+  for (int i = 0; i < 4; ++i) {
+    const std::size_t page = 5 + static_cast<std::size_t>(i % 2);
+    const std::string path = sim::strf("/p%zu", page);
+    EXPECT_EQ(wap_fetch(kWapGatewayPort, path),
+              expected_wsp(pages[page], true));
+    EXPECT_EQ(imode_fetch(phone_http, path), expected_chtml(pages[page]));
+  }
+}
+
+TEST_F(MemoFixture, OldestPageIsRetranslatedAfterTheMemoFills) {
+  WapGateway wap{*gateway, *gw_udp, *gw_tcp, dotted_quad_resolver()};
+  IModeGateway imode{*gw_tcp, dotted_quad_resolver()};
+  host::HttpClient phone_http{*phone_tcp};
+  std::vector<std::string> html;
+  for (std::size_t i = 0; i <= kGatewayMemoEntries; ++i) {
+    html.push_back(sim::strf("<html><body><h1>Item %zu</h1></body></html>", i));
+    web_server->add_content(sim::strf("/item%zu", i), "text/html", html[i]);
+  }
+  for (std::size_t i = 0; i < html.size(); ++i) {
+    const std::string path = sim::strf("/item%zu", i);
+    EXPECT_EQ(wap_fetch(kWapGatewayPort, path), expected_wsp(html[i], true));
+    EXPECT_EQ(imode_fetch(phone_http, path), expected_chtml(html[i]));
+  }
+  // The first page has been evicted from both memos; it must come back
+  // right, and so must the newest, which is still memoized.
+  for (const std::size_t i : {std::size_t{0}, html.size() - 1}) {
+    const std::string path = sim::strf("/item%zu", i);
+    EXPECT_EQ(wap_fetch(kWapGatewayPort, path), expected_wsp(html[i], true));
+    EXPECT_EQ(imode_fetch(phone_http, path), expected_chtml(html[i]));
+  }
+}
+
+TEST_F(MemoFixture, CountersAreTheSameOnHitsAsOnMisses) {
+  // One gateway sees each page once (all misses); another sees the same
+  // pages three times over (misses, then hits). Every counter of the second
+  // must be exactly three times the first's.
+  WapGatewayConfig once_cfg;
+  once_cfg.wtp_port = 9301;
+  WapGateway once{*gateway, *gw_udp, *gw_tcp, dotted_quad_resolver(),
+                  once_cfg};
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    wap_fetch(9301, sim::strf("/p%zu", i));
+  }
+  WapGatewayConfig thrice_cfg;
+  thrice_cfg.wtp_port = 9302;
+  WapGateway thrice{*gateway, *gw_udp, *gw_tcp, dotted_quad_resolver(),
+                    thrice_cfg};
+  for (int pass = 0; pass < 3; ++pass) {
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+      wap_fetch(9302, sim::strf("/p%zu", i));
+    }
+  }
+  EXPECT_EQ(thrice.stats().requests, 3 * once.stats().requests);
+  EXPECT_EQ(thrice.stats().translations, 3 * once.stats().translations);
+  EXPECT_EQ(thrice.stats().html_bytes_in, 3 * once.stats().html_bytes_in);
+  EXPECT_EQ(thrice.stats().wml_bytes_out, 3 * once.stats().wml_bytes_out);
+  EXPECT_EQ(thrice.stats().air_bytes_out, 3 * once.stats().air_bytes_out);
+
+  IModeGateway imode{*gw_tcp, dotted_quad_resolver()};
+  host::HttpClient phone_http{*phone_tcp};
+  std::uint64_t first_pass_bytes = 0;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+      imode_fetch(phone_http, sim::strf("/p%zu", i));
+    }
+    if (pass == 0) first_pass_bytes = imode.stats().chtml_bytes_out;
+  }
+  EXPECT_EQ(imode.stats().chtml_bytes_out, 3 * first_pass_bytes);
+  EXPECT_EQ(imode.stats().requests, 3 * pages.size());
 }
 
 }  // namespace

@@ -11,9 +11,11 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "middleware/adaptation.h"
 #include "middleware/markup.h"
+#include "middleware/page_memo.h"
 #include "middleware/translate.h"
 #include "middleware/wbxml.h"
 #include "sim/random.h"
@@ -372,6 +374,172 @@ TEST(ScanMarkup, BuffersAreClearedAndReused) {
   EXPECT_EQ(scan_markup("<p>x</p>", title, text), 1u);
   EXPECT_EQ(title, "");
   EXPECT_EQ(text, "x");
+}
+
+// --- PageMemo: the gateways' and the station's page memo -------------------
+
+struct MemoPage {
+  std::string text;
+  std::string wbxml;
+  std::size_t bytes() const { return text.capacity() + wbxml.capacity(); }
+};
+
+// A memo whose fill translates to WML + WBXML and counts its calls.
+struct CountingMemo {
+  CountingMemo(std::size_t entries, std::size_t bytes) : memo{entries, bytes} {}
+  const MemoPage& get(std::string_view html, std::uint8_t tag = 0) {
+    return memo.get(html, tag, [this](std::string_view in, MemoPage& p) {
+      ++fills;
+      translate_html(in, MarkupKind::kWml, AdaptationConfig{}, p.text,
+                     &p.wbxml);
+    });
+  }
+  PageMemo<MemoPage> memo;
+  int fills = 0;
+};
+
+void expect_translation(const MemoPage& got, const std::string& src) {
+  std::string text;
+  std::string wbxml;
+  translate_html(src, MarkupKind::kWml, AdaptationConfig{}, text, &wbxml);
+  EXPECT_EQ(got.text, text) << "src: " << src;
+  EXPECT_EQ(got.wbxml, wbxml) << "src: " << src;
+}
+
+TEST(PageMemo, FirstAndRepeatedLookupsMatchTranslationOverCorpus) {
+  // Four entries over the whole corpus, three passes: every lookup after the
+  // first pass either hits or recomputes an evicted page, and both must
+  // equal a fresh translation.
+  CountingMemo m{4, kGatewayMemoBytes};
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const char* src : kCorpus) expect_translation(m.get(src), src);
+  }
+  EXPECT_LE(m.memo.size(), 4u);
+  // Back-to-back repeats of one page translate it once.
+  const int before = m.fills;
+  for (int i = 0; i < 5; ++i) expect_translation(m.get(kCorpus[3]), kCorpus[3]);
+  EXPECT_LE(m.fills - before, 1);
+}
+
+TEST(PageMemo, RandomDocumentsMatchTranslationOnHitAndMiss) {
+  sim::Rng rng{311};
+  std::vector<std::string> docs;
+  for (int i = 0; i < 12; ++i) {
+    MarkupDocument doc;
+    doc.kind = MarkupKind::kHtml;
+    doc.root.children.push_back(random_node(rng, 4));
+    docs.push_back(doc.serialize());
+  }
+  CountingMemo m{kGatewayMemoEntries, kGatewayMemoBytes};
+  for (int round = 0; round < 60; ++round) {
+    const std::string& src = docs[rng.uniform_int(0, docs.size() - 1)];
+    expect_translation(m.get(src), src);
+  }
+  EXPECT_LE(m.fills, static_cast<int>(docs.size()));
+}
+
+TEST(PageMemo, EqualLengthInputsDifferingInOneByteAreDistinct) {
+  const std::string a = "<p>item A</p>";
+  const std::string b = "<p>item B</p>";
+  ASSERT_EQ(a.size(), b.size());
+  CountingMemo m{kGatewayMemoEntries, kGatewayMemoBytes};
+  for (int i = 0; i < 3; ++i) {
+    expect_translation(m.get(a), a);
+    expect_translation(m.get(b), b);
+  }
+  EXPECT_EQ(m.fills, 2);
+  EXPECT_NE(m.get(a).text, m.get(b).text);
+}
+
+TEST(PageMemo, HashCollisionsNeverReturnAnotherInputsOutput) {
+  // Every input hashes alike, so only the byte comparison tells them apart.
+  struct CollidingHash {
+    std::size_t operator()(std::string_view) const { return 42; }
+  };
+  PageMemo<MemoPage, CollidingHash> memo{4, kGatewayMemoBytes};
+  auto fill = [](std::string_view in, MemoPage& p) {
+    translate_html(in, MarkupKind::kWml, AdaptationConfig{}, p.text,
+                   &p.wbxml);
+  };
+  const std::string a = "<p>item A</p>";
+  const std::string b = "<p>item B</p>";
+  for (int pass = 0; pass < 3; ++pass) {
+    expect_translation(memo.get(a, 0, fill), a);
+    expect_translation(memo.get(b, 0, fill), b);
+    for (const char* src : kCorpus) {
+      expect_translation(memo.get(src, 0, fill), src);
+    }
+  }
+}
+
+TEST(PageMemo, TagIsPartOfTheKey) {
+  PageMemo<MemoPage> memo{kStationMemoEntries, kStationMemoBytes};
+  auto fill_with = [](const char* out) {
+    return [out](std::string_view, MemoPage& p) { p.text = out; };
+  };
+  EXPECT_EQ(memo.get("same bytes", 0, fill_with("plain")).text, "plain");
+  EXPECT_EQ(memo.get("same bytes", 1, fill_with("binary")).text, "binary");
+  EXPECT_EQ(memo.get("same bytes", 0, fill_with("refilled")).text, "plain");
+  EXPECT_EQ(memo.size(), 2u);
+}
+
+TEST(PageMemo, OldestPageIsRecomputedAfterCapacityIsExceeded) {
+  CountingMemo m{kGatewayMemoEntries, kGatewayMemoBytes};
+  std::vector<std::string> pages;
+  for (std::size_t i = 0; i <= kGatewayMemoEntries; ++i) {
+    pages.push_back(sim::strf("<html><body><p>page %zu</p></body></html>", i));
+  }
+  for (const auto& p : pages) expect_translation(m.get(p), p);
+  EXPECT_EQ(m.memo.size(), kGatewayMemoEntries);
+  EXPECT_EQ(m.fills, static_cast<int>(pages.size()));
+  // Page 0 was the least recently used: it was evicted and is recomputed.
+  expect_translation(m.get(pages[0]), pages[0]);
+  EXPECT_EQ(m.fills, static_cast<int>(pages.size()) + 1);
+  // The newest page survived the eviction.
+  expect_translation(m.get(pages.back()), pages.back());
+  EXPECT_EQ(m.fills, static_cast<int>(pages.size()) + 1);
+}
+
+TEST(PageMemo, HitsRefreshRecencySoTheColdestEntryIsEvicted) {
+  CountingMemo m{2, kGatewayMemoBytes};
+  m.get(kCorpus[0]);
+  m.get(kCorpus[1]);
+  m.get(kCorpus[0]);  // corpus[1] is now the least recently used
+  m.get(kCorpus[2]);  // evicts corpus[1]
+  const int before = m.fills;
+  m.get(kCorpus[0]);
+  EXPECT_EQ(m.fills, before);
+  m.get(kCorpus[1]);
+  EXPECT_EQ(m.fills, before + 1);
+}
+
+TEST(PageMemo, HeapBytesStayWithinTheByteBound) {
+  constexpr std::size_t kBound = 4096;
+  CountingMemo m{kGatewayMemoEntries, kBound};
+  sim::Rng rng{977};
+  for (int i = 0; i < 200; ++i) {
+    std::string src = sim::strf("<p>doc %d</p>", i);
+    src.append(static_cast<std::size_t>(rng.uniform_int(0, 600)), 'x');
+    expect_translation(m.get(src), src);
+    EXPECT_LE(m.memo.bytes(), kBound) << "after " << i;
+  }
+  EXPECT_LT(m.memo.size(), kGatewayMemoEntries);
+  // An entry larger than the whole bound is still served, alone.
+  const std::string huge = "<p>" + std::string(3 * kBound, 'y') + "</p>";
+  expect_translation(m.get(huge), huge);
+  EXPECT_EQ(m.memo.size(), 1u);
+  expect_translation(m.get(kCorpus[0]), kCorpus[0]);
+  EXPECT_LE(m.memo.bytes(), kBound);
+}
+
+TEST(PageMemo, StartsEmptyAndGrowsOnMisses) {
+  CountingMemo m{kGatewayMemoEntries, kGatewayMemoBytes};
+  EXPECT_EQ(m.memo.size(), 0u);
+  EXPECT_EQ(m.memo.bytes(), 0u);
+  m.get(kCorpus[0]);
+  m.get(kCorpus[0]);
+  EXPECT_EQ(m.memo.size(), 1u);
+  EXPECT_GT(m.memo.bytes(), 0u);
 }
 
 // --- wbxml_to_text: the station's streaming decoder ------------------------

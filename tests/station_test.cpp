@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/system.h"
+#include "middleware/translate.h"
 #include "net/network.h"
 #include "station/browser.h"
 #include "station/cache.h"
@@ -333,6 +334,105 @@ TEST_F(BrowserFixture, PinnedCacheHitOutputs) {
   EXPECT_EQ(p.body, "PageBody text for the page");
   EXPECT_EQ(p.parse_time.ns(), 538000);
   EXPECT_EQ(p.render_time.ns(), 6000000);
+}
+
+// --- Page memo: repeated pages decode once, results stay the same ---------
+
+// Loads `path` `visits` times through a fresh browser and returns every
+// result. A '?' in the path keeps the browser's page cache out of the way,
+// so each visit is delivered over the air and decoded (or memo-hit).
+std::vector<MicroBrowser::PageResult> visit(BrowserFixture& f,
+                                            MicroBrowser& browser,
+                                            const std::string& path,
+                                            int visits) {
+  std::vector<MicroBrowser::PageResult> out;
+  for (int i = 0; i < visits; ++i) {
+    browser.browse(f.web->addr().to_string() + ":80" + path,
+                   [&](MicroBrowser::PageResult r) { out.push_back(r); });
+    f.sim.run();
+  }
+  return out;
+}
+
+void expect_same_page(const MicroBrowser::PageResult& a,
+                      const MicroBrowser::PageResult& b) {
+  EXPECT_EQ(a.ok, b.ok);
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.title, b.title);
+  EXPECT_EQ(a.content, b.content);
+  EXPECT_EQ(a.text, b.text);
+  EXPECT_EQ(a.elements, b.elements);
+  EXPECT_EQ(a.over_air_bytes, b.over_air_bytes);
+  EXPECT_EQ(a.parse_time, b.parse_time);
+  EXPECT_EQ(a.render_time, b.render_time);
+}
+
+TEST_F(BrowserFixture, RepeatedPagesDecodeTheSameAndCountAlike) {
+  web_server->add_content("/dyn?v=1", "text/html",
+                          "<html><head><title>D</title></head><body>"
+                          "<h1>Deals</h1><p>one</p><p>two</p></body></html>");
+  web_server->add_content("/dyn?v=2", "text/html",
+                          "<html><head><title>E</title></head><body>"
+                          "<h1>Deals</h1><p>uno</p><p>dos</p></body></html>");
+  for (const BrowserMode mode : {BrowserMode::kWap, BrowserMode::kImode}) {
+    auto browser = make_browser(mode, palm_i705());
+    const auto ones = visit(*this, *browser, "/dyn?v=1", 3);
+    const auto twos = visit(*this, *browser, "/dyn?v=2", 2);
+    const auto again = visit(*this, *browser, "/dyn?v=1", 1);
+    ASSERT_EQ(ones.size(), 3u);
+    ASSERT_TRUE(ones[0].ok);
+    EXPECT_NE(ones[0].text.find("one"), std::string::npos);
+    EXPECT_NE(twos[0].text.find("uno"), std::string::npos);
+    expect_same_page(ones[0], ones[1]);
+    expect_same_page(ones[0], ones[2]);
+    expect_same_page(ones[0], again[0]);
+    expect_same_page(twos[0], twos[1]);
+    // A fresh browser, whose memo is cold, decodes the same page.
+    auto cold = make_browser(mode, palm_i705());
+    expect_same_page(ones[0], visit(*this, *cold, "/dyn?v=1", 1)[0]);
+    // Hits count exactly as misses do.
+    EXPECT_EQ(browser->stats().counter("page_requests").value(), 6u);
+    EXPECT_EQ(browser->stats().counter("pages_loaded").value(), 6u);
+    EXPECT_EQ(browser->stats().counter("cache_hits").value(), 0u);
+    EXPECT_EQ(browser->stats().counter("decode_errors").value(), 0u);
+  }
+}
+
+TEST_F(BrowserFixture, MalformedDeckFailsAndCountsOnEveryArrival) {
+  // A stand-in gateway on its own port: "/bad" answers a WBXML deck cut in
+  // half, anything else the whole deck.
+  std::string text;
+  std::string deck;
+  middleware::translate_html("<p>a complete deck</p>",
+                             middleware::MarkupKind::kWml,
+                             middleware::AdaptationConfig{}, text, &deck);
+  const std::string bad = deck.substr(0, deck.size() / 2);
+  std::string scratch;
+  ASSERT_FALSE(middleware::wbxml_to_text(bad, scratch));
+  middleware::WtpEndpoint fake{*gw_udp, 9299};
+  fake.on_invoke = [&](const std::string& payload, net::Endpoint,
+                       std::function<void(std::string)> respond) {
+    const bool is_bad = payload.find("/bad") != std::string::npos;
+    respond(middleware::wsp_encode_response(200, "application/vnd.wap.wmlc",
+                                            is_bad ? bad : deck));
+  };
+  BrowserConfig cfg;
+  cfg.mode = BrowserMode::kWap;
+  cfg.gateway = net::Endpoint{gateway->addr(), 9299};
+  MicroBrowser browser{*phone, palm_i705(), cfg, phone_udp.get(),
+                       phone_tcp.get()};
+  for (int i = 1; i <= 3; ++i) {
+    const auto bad_page = visit(*this, browser, "/bad", 1);
+    ASSERT_EQ(bad_page.size(), 1u);
+    EXPECT_FALSE(bad_page[0].ok);
+    EXPECT_EQ(browser.stats().counter("decode_errors").value(),
+              static_cast<std::uint64_t>(i));
+    const auto good = visit(*this, browser, "/good?x", 1);
+    ASSERT_EQ(good.size(), 1u);
+    EXPECT_TRUE(good[0].ok);
+    EXPECT_EQ(good[0].text, "a complete deck");
+  }
+  EXPECT_EQ(browser.stats().counter("pages_loaded").value(), 3u);
 }
 
 }  // namespace
