@@ -12,10 +12,9 @@
 // trace with counter tracks merged in to $MCS_TELEMETRY_TRACE_OUT.
 //
 // Part 2 (measured): alternating reps of the identical cell with and
-// without a metrics registry installed — the runtime analogue of
-// MCS_METRICS=OFF, since an absent registry leaves every cached handle
-// nullptr — timed with obs::OverheadStopwatch. Min-of-reps wall ns/txn per
-// arm and the resulting overhead fraction go to
+// without a metrics registry installed — an absent registry leaves every
+// cached handle nullptr — timed with obs::OverheadStopwatch. Min-of-reps
+// wall ns/txn per arm and the resulting overhead fraction go to
 // $MCS_BENCH_TELEMETRY_OVERHEAD_OUT (never committed: wallclock numbers are
 // machine-specific); CI gates the fraction at a few percent.
 
@@ -32,6 +31,7 @@
 #include "obs/metrics.h"
 #include "obs/telemetry_clock.h"
 #include "obs/trace.h"
+#include "sim/stats.h"
 #include "workload/driver.h"
 #include "workload/session.h"
 #include "workload/telemetry.h"
@@ -87,7 +87,7 @@ workload::DriverReport run_commerce_cell(obs::FlightRecorder* rec,
                               workload::commerce_mix(), sys.web_url(""),
                               dcfg};
   if (rec != nullptr) {
-    if (const obs::MetricsRegistry* reg = obs::current_metrics()) {
+    if (const sim::StatsRegistry* reg = obs::current_metrics()) {
       rec->add_registry(*reg);
     }
     workload::attach_system_series(*rec, sys);
@@ -107,13 +107,26 @@ workload::DriverReport run_commerce_cell(obs::FlightRecorder* rec,
   return report;
 }
 
+// Sum of every counter value whose name starts with `prefix`: the telemetry
+// gate's "component is alive" query.
+std::uint64_t prefix_sum(const sim::StatsRegistry& m,
+                         const std::string& prefix) {
+  std::uint64_t total = 0;
+  for (auto it = m.counters().lower_bound(prefix); it != m.counters().end();
+       ++it) {
+    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
+    total += it->second.value();
+  }
+  return total;
+}
+
 // The committed, deterministic summary: SLO outcomes, per-component counter
 // totals (the six Figure 2 components must all be alive), and timeline
 // liveness per series. Everything derives from simulation state; keys are
 // sorted (std::map) — byte-identical across reruns by construction, and
 // the bench verifies that by running the cell twice.
 std::string summary_json(const workload::DriverReport& r,
-                         const obs::MetricsRegistry& m,
+                         const sim::StatsRegistry& m,
                          const obs::FlightRecorder& rec) {
   sim::JsonWriter w{/*pretty=*/true};
   w.begin_object();
@@ -141,7 +154,7 @@ std::string summary_json(const workload::DriverReport& r,
   for (const char* p : kPrefixes) {
     std::string name{p};
     name.pop_back();  // "application." -> "application"
-    w.key(name).value(static_cast<std::int64_t>(m.prefix_sum(p)));
+    w.key(name).value(static_cast<std::int64_t>(prefix_sum(m, p)));
   }
   w.end_object();
 
@@ -189,7 +202,7 @@ DeterministicOutputs run_deterministic() {
   tcfg.sample_every = 1;
   obs::Tracer tracer{tcfg};
   obs::Install install{tracer};
-  obs::MetricsRegistry metrics;
+  sim::StatsRegistry metrics;
   obs::MetricsInstall minstall{metrics};
   obs::FlightRecorder rec;
 
@@ -215,8 +228,7 @@ void write_file(const std::string& body, const char* path) {
 // Alternating-arm overhead measurement. Both arms run the exact same cell
 // (same seed, no tracer); the "on" arm installs a registry + flight
 // recorder, the "off" arm installs nothing, which leaves every component's
-// cached metric handle nullptr — the same fast path an MCS_METRICS=OFF
-// build removes entirely. Alternation decorrelates machine drift;
+// cached metric handle nullptr. Alternation decorrelates machine drift;
 // min-of-reps is the standard robust wall-time estimator.
 int run_overhead_gate() {
   const int reps = smoke_mode() ? 3 : 7;
@@ -232,7 +244,7 @@ int run_overhead_gate() {
       std::int64_t ns = 0;
       workload::DriverReport report;
       if (telemetry_on) {
-        obs::MetricsRegistry metrics;
+        sim::StatsRegistry metrics;
         obs::MetricsInstall minstall{metrics};
         obs::FlightRecorder rec;
         report = run_commerce_cell(&rec, nullptr, &ns);
@@ -255,7 +267,7 @@ int run_overhead_gate() {
   bench::TablePrinter table{
       "Telemetry -- overhead of the always-on metrics + flight recorder",
       {"arm", "reps", "txns", "min wall ns/txn"}};
-  table.add_row({"no registry (≈ MCS_METRICS=OFF)", std::to_string(reps),
+  table.add_row({"no registry", std::to_string(reps),
                  std::to_string(txns), bench::fmt("%.0f", per_txn_off)});
   table.add_row({"full telemetry", std::to_string(reps),
                  std::to_string(txns), bench::fmt("%.0f", per_txn_on)});

@@ -192,9 +192,9 @@ class DbServer {
   // Telemetry handles, cached at construction (obs/metrics.h). WAL flush
   // latency is commit-observed: queueing behind the busy log device counts,
   // which is exactly what an SLO investigation needs to see.
-  obs::TsCounter* m_requests_ = obs::metric_counter("host.db.requests");
-  obs::TsCounter* m_fsyncs_ = obs::metric_counter("host.db.fsyncs");
-  obs::TsLogHist* m_wal_flush_us_ =
+  sim::Counter* m_requests_ = obs::metric_counter("host.db.requests");
+  sim::Counter* m_fsyncs_ = obs::metric_counter("host.db.fsyncs");
+  sim::LogHistogram* m_wal_flush_us_ =
       obs::metric_histogram("host.db.wal_flush_us");
 };
 

@@ -99,10 +99,11 @@ class HttpServer {
   // Telemetry handles, cached at construction (obs/metrics.h). Application
   // programs (dynamic routes) count separately under "application." so the
   // Figure-2 application bucket has its own throughput series.
-  obs::TsCounter* m_requests_ = obs::metric_counter("host.http.requests");
-  obs::TsCounter* m_app_responses_ =
+  sim::Counter* m_requests_ = obs::metric_counter("host.http.requests");
+  sim::Counter* m_app_responses_ =
       obs::metric_counter("application.responses");
-  obs::TsLogHist* m_app_us_ = obs::metric_histogram("application.latency_us");
+  sim::LogHistogram* m_app_us_ =
+      obs::metric_histogram("application.latency_us");
 };
 
 // Minimal async HTTP client with per-endpoint persistent connections

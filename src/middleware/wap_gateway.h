@@ -116,10 +116,10 @@ class WapGateway {
   std::uint64_t wtls_sessions_ = 0;
   Stats stats_;
   // Telemetry handles, cached at construction (obs/metrics.h).
-  obs::TsCounter* m_requests_ = obs::metric_counter("middleware.requests");
-  obs::TsCounter* m_translations_ =
+  sim::Counter* m_requests_ = obs::metric_counter("middleware.requests");
+  sim::Counter* m_translations_ =
       obs::metric_counter("middleware.translations");
-  obs::TsCounter* m_air_bytes_ = obs::metric_counter("middleware.air_bytes");
+  sim::Counter* m_air_bytes_ = obs::metric_counter("middleware.air_bytes");
   // HTML body -> WML + WBXML, translated once per distinct body (§12.4).
   PageMemo<TranslatedPage> pages_{kGatewayMemoEntries, kGatewayMemoBytes};
 };
@@ -168,8 +168,8 @@ class IModeGateway {
   Stats stats_;
   // Telemetry handles, cached at construction (obs/metrics.h); shared names
   // with WapGateway so "middleware.*" totals cover either gateway flavour.
-  obs::TsCounter* m_requests_ = obs::metric_counter("middleware.requests");
-  obs::TsCounter* m_translations_ =
+  sim::Counter* m_requests_ = obs::metric_counter("middleware.requests");
+  sim::Counter* m_translations_ =
       obs::metric_counter("middleware.translations");
   // HTML body -> cHTML, translated once per distinct body (§12.4).
   PageMemo<TranslatedPage> pages_{kGatewayMemoEntries, kGatewayMemoBytes};

@@ -111,7 +111,7 @@ class HomeAgent {
   sim::CounterHandle c_forward_updates_sent_{"forward_updates_sent"};
   sim::CounterHandle c_bindings_expired_{"bindings_expired"};
   // Telemetry handle, cached at construction (obs/metrics.h).
-  obs::TsCounter* m_encap_ = obs::metric_counter("mobileip.tunnel.encap");
+  sim::Counter* m_encap_ = obs::metric_counter("mobileip.tunnel.encap");
 };
 
 struct ForeignAgentConfig {
@@ -183,7 +183,7 @@ class ForeignAgent {
       "forward_pointers_installed"};
   sim::CounterHandle c_visitor_departures_{"visitor_departures"};
   // Telemetry handle, cached at construction (obs/metrics.h).
-  obs::TsCounter* m_decap_ = obs::metric_counter("mobileip.tunnel.decap");
+  sim::Counter* m_decap_ = obs::metric_counter("mobileip.tunnel.decap");
 };
 
 struct MobileClientConfig {

@@ -66,10 +66,10 @@ class Link : public Channel {
   // Telemetry handles, cached at construction (obs/metrics.h). Shared names
   // across links: "wired.*" is the tier total, per-link detail stays in
   // stats_.
-  obs::TsCounter* m_tx_packets_ = obs::metric_counter("wired.tx_packets");
-  obs::TsCounter* m_tx_bytes_ = obs::metric_counter("wired.tx_bytes");
-  obs::TsCounter* m_drops_ = obs::metric_counter("wired.drops");
-  obs::TsGauge* m_queued_bytes_ = obs::metric_gauge("wired.queued_bytes");
+  sim::Counter* m_tx_packets_ = obs::metric_counter("wired.tx_packets");
+  sim::Counter* m_tx_bytes_ = obs::metric_counter("wired.tx_bytes");
+  sim::Counter* m_drops_ = obs::metric_counter("wired.drops");
+  sim::Gauge* m_queued_bytes_ = obs::metric_gauge("wired.queued_bytes");
 };
 
 }  // namespace mcs::net

@@ -4,11 +4,11 @@
 #include <map>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/trace_clock.h"
 #include "sim/contract.h"
 #include "sim/json.h"
 #include "sim/simulator.h"
+#include "sim/stats.h"
 
 namespace mcs::obs {
 
@@ -30,18 +30,18 @@ void FlightRecorder::add_series(std::string name,
   series_.push_back(Series{std::move(name), std::move(sampler)});
 }
 
-void FlightRecorder::add_registry(const MetricsRegistry& reg) {
+void FlightRecorder::add_registry(const sim::StatsRegistry& reg) {
   for (const auto& [name, c] : reg.counters()) {
-    const TsCounter* p = &c;
+    const sim::Counter* p = &c;
     add_series(name, [p] { return static_cast<double>(p->value()); });
   }
   for (const auto& [name, g] : reg.gauges()) {
-    const TsGauge* p = &g;
+    const sim::Gauge* p = &g;
     add_series(name, [p] { return p->value(); });
     add_series(name + ".hwm", [p] { return p->high_water(); });
   }
-  for (const auto& [name, h] : reg.histograms()) {
-    const TsLogHist* p = &h;
+  for (const auto& [name, h] : reg.log_histograms()) {
+    const sim::LogHistogram* p = &h;
     add_series(name + ".count",
                [p] { return static_cast<double>(p->count()); });
     add_series(name + ".sum", [p] { return p->sum(); });

@@ -4,7 +4,7 @@
 // by a sim-time kernel timer (DESIGN.md §14).
 //
 // Series are registered up front (a name plus a double() sampler — usually
-// closures over MetricsRegistry metrics, queue-depth accessors, or pool /
+// closures over sim::StatsRegistry metrics, queue-depth accessors, or pool /
 // arena occupancy); start() then schedules a self-rescheduling tick chain
 // on the kernel. Each tick samples every series into one preallocated ring
 // row; when the ring is full the oldest row is overwritten, so a crash or
@@ -32,11 +32,10 @@
 namespace mcs::sim {
 class JsonWriter;
 class Simulator;
+class StatsRegistry;
 }  // namespace mcs::sim
 
 namespace mcs::obs {
-
-class MetricsRegistry;
 
 class FlightRecorder {
  public:
@@ -61,11 +60,11 @@ class FlightRecorder {
 
   // Register every metric in `reg` as of this call: counters sample their
   // cumulative value, gauges their level plus a "<name>.hwm" high-water
-  // series, histograms "<name>.count" and "<name>.sum" — enough to
+  // series, log histograms "<name>.count" and "<name>.sum" — enough to
   // reconstruct rates and running means per tick. Metrics registered with
   // `reg` after this call are not picked up; attach the recorder once the
   // system under observation is built.
-  void add_registry(const MetricsRegistry& reg);
+  void add_registry(const sim::StatsRegistry& reg);
 
   // --- Recording ------------------------------------------------------------
 

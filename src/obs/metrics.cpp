@@ -1,186 +1,34 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "sim/contract.h"
-#include "sim/json.h"
-
 namespace mcs::obs {
-
-namespace {
-
-// Log2 bucket index for a non-negative value: bucket 0 holds v <= 1,
-// bucket i holds (2^(i-1), 2^i], everything past the top bound saturates
-// into the last bucket. 2^47 us is ~4.5 years, far beyond any sim horizon.
-std::size_t bucket_index(double v) {
-  if (!(v > 1.0)) return 0;  // also catches NaN
-  const int e = std::ilogb(v);
-  // v in (2^(i-1), 2^i] <=> ilogb in {i-1} unless v is an exact power of two.
-  std::size_t i = static_cast<std::size_t>(e);
-  if (std::ldexp(1.0, e) != v) ++i;
-  return std::min(i, TsLogHist::kBuckets - 1);
-}
-
-}  // namespace
-
-void TsLogHist::record(double v) {
-  if (std::isnan(v)) return;
-  if (v < 0.0) v = 0.0;
-  ++buckets_[bucket_index(v)];
-  ++count_;
-  sum_ += v;
-  if (v > max_) max_ = v;
-}
-
-double TsLogHist::percentile(double p) const {
-  if (count_ == 0) return 0.0;
-  p = std::clamp(p, 0.0, 100.0);
-  const double target = p / 100.0 * static_cast<double>(count_);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    seen += buckets_[i];
-    if (static_cast<double>(seen) >= target) {
-      return std::ldexp(1.0, static_cast<int>(i));
-    }
-  }
-  return std::ldexp(1.0, static_cast<int>(kBuckets - 1));
-}
-
-void TsLogHist::merge(const TsLogHist& other) {
-  for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
-  count_ += other.count_;
-  sum_ += other.sum_;
-  if (other.max_ > max_) max_ = other.max_;
-}
-
-void TsLogHist::clear() {
-  buckets_.fill(0);
-  count_ = 0;
-  sum_ = 0.0;
-  max_ = 0.0;
-}
-
-TsCounter& MetricsRegistry::counter(std::string_view name) {
-  MCS_ASSERT(!name.empty(), "metric name must be non-empty");
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string{name}, TsCounter{}).first;
-  }
-  return it->second;
-}
-
-TsGauge& MetricsRegistry::gauge(std::string_view name) {
-  MCS_ASSERT(!name.empty(), "metric name must be non-empty");
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string{name}, TsGauge{}).first;
-  }
-  return it->second;
-}
-
-TsLogHist& MetricsRegistry::histogram(std::string_view name) {
-  MCS_ASSERT(!name.empty(), "metric name must be non-empty");
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string{name}, TsLogHist{}).first;
-  }
-  return it->second;
-}
-
-std::uint64_t MetricsRegistry::prefix_sum(std::string_view prefix) const {
-  std::uint64_t total = 0;
-  for (auto it = counters_.lower_bound(prefix); it != counters_.end(); ++it) {
-    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    total += it->second.value();
-  }
-  return total;
-}
-
-void MetricsRegistry::merge(const MetricsRegistry& other) {
-  for (const auto& [name, c] : other.counters_) counter(name).add(c.value());
-  for (const auto& [name, g] : other.gauges_) {
-    TsGauge& mine = gauge(name);
-    // Levels add (total queued bytes across cells); the merged high-water is
-    // the max of per-cell high-waters, restored after set() bumps it.
-    const double hwm = std::max(mine.high_water(), g.high_water());
-    mine.add(g.value());
-    mine.set_high_water(hwm);
-  }
-  for (const auto& [name, h] : other.histograms_) histogram(name).merge(h);
-}
-
-void MetricsRegistry::clear_values() {
-  for (auto& [name, c] : counters_) c.clear();
-  for (auto& [name, g] : gauges_) g.clear();
-  for (auto& [name, h] : histograms_) h.clear();
-}
-
-void MetricsRegistry::to_json(sim::JsonWriter& w) const {
-  w.begin_object();
-  w.key("counters").begin_object();
-  for (const auto& [name, c] : counters_) w.key(name).value(c.value());
-  w.end_object();
-  w.key("gauges").begin_object();
-  for (const auto& [name, g] : gauges_) {
-    w.key(name).begin_object();
-    w.key("value").value(g.value());
-    w.key("high_water").value(g.high_water());
-    w.end_object();
-  }
-  w.end_object();
-  w.key("histograms").begin_object();
-  for (const auto& [name, h] : histograms_) {
-    w.key(name).begin_object();
-    w.key("count").value(h.count());
-    w.key("sum").value(h.sum());
-    w.key("max").value(h.max());
-    w.key("p50").value(h.percentile(50));
-    w.key("p95").value(h.percentile(95));
-    w.key("p99").value(h.percentile(99));
-    w.end_object();
-  }
-  w.end_object();
-  w.end_object();
-}
-
-std::string MetricsRegistry::to_json_string() const {
-  sim::JsonWriter w;
-  to_json(w);
-  return w.take();
-}
-
-#if MCS_METRICS_ENABLED
 
 namespace {
 
 // One registry per thread, mirroring t_tracer in trace.cpp: a parallel
 // sweep confines each cell's simulation — and now its metrics — to one
 // worker thread, merging in cell order afterwards.
-thread_local MetricsRegistry* t_metrics = nullptr;
+thread_local sim::StatsRegistry* t_metrics = nullptr;
 
 }  // namespace
 
-MetricsRegistry* current_metrics() { return t_metrics; }
+sim::StatsRegistry* current_metrics() { return t_metrics; }
 
-MetricsInstall::MetricsInstall(MetricsRegistry& reg) : prev_{t_metrics} {
+MetricsInstall::MetricsInstall(sim::StatsRegistry& reg) : prev_{t_metrics} {
   t_metrics = &reg;
 }
 
 MetricsInstall::~MetricsInstall() { t_metrics = prev_; }
 
-TsCounter* metric_counter(const char* name) {
+sim::Counter* metric_counter(const char* name) {
   return t_metrics != nullptr ? &t_metrics->counter(name) : nullptr;
 }
 
-TsGauge* metric_gauge(const char* name) {
+sim::Gauge* metric_gauge(const char* name) {
   return t_metrics != nullptr ? &t_metrics->gauge(name) : nullptr;
 }
 
-TsLogHist* metric_histogram(const char* name) {
-  return t_metrics != nullptr ? &t_metrics->histogram(name) : nullptr;
+sim::LogHistogram* metric_histogram(const char* name) {
+  return t_metrics != nullptr ? &t_metrics->log_histogram(name) : nullptr;
 }
-
-#endif  // MCS_METRICS_ENABLED
 
 }  // namespace mcs::obs

@@ -1,222 +1,79 @@
 #pragma once
 
-// Always-on time-series telemetry: the metrics registry (DESIGN.md §14).
+// Always-on time-series telemetry: the ambient metrics registry
+// (DESIGN.md §14).
 //
 // Where obs/trace.h answers "where did *this request* spend its time", this
 // layer answers "what is the *system* doing over time": components register
 // named counters / gauges / log-bucket histograms once (at construction,
-// while a registry is ambient) and update them on the hot path through a
-// cached pointer. An update is one predictable null test plus a field
-// add — no map lookup, no string, no allocation — so telemetry can stay on
-// in every run (bench/telemetry + tools/check_telemetry_bench.py pin the
-// measured overhead of the full stack under a few percent).
+// while a sim::StatsRegistry is ambient) and update them on the hot path
+// through a cached pointer. An update is one predictable null test plus a
+// field add — no map lookup, no string, no allocation — so telemetry can
+// stay on in every run (bench/telemetry + tools/check_telemetry_bench.py
+// pin the measured overhead of the full stack under a few percent).
 //
-// Cost contract, mirroring MCS_TRACE:
-//   * MCS_METRICS=OFF: metric_*() registration helpers return a constant
-//     nullptr and every update helper is an empty inline — all call sites
-//     compile away entirely.
-//   * ON, no registry installed: registration yields nullptr handles, so
-//     each update is a never-taken branch on a cached pointer.
-//   * ON, registry installed: counter add / gauge store / histogram bucket
+// Cost contract:
+//   * No registry installed: registration yields nullptr handles, so each
+//     update is a never-taken branch on a cached pointer.
+//   * Registry installed: counter add / gauge store / histogram bucket
 //     increment. Nothing here allocates after registration, draws from a
 //     model Rng, or schedules events, so enabling telemetry cannot perturb
 //     simulated behaviour.
+//
+// Registration is eager, unlike sim::CounterHandle: a metric_*() call
+// creates its key at once, so every series exists (at zero) before a
+// flight recorder attached to the registry starts sampling.
 //
 // Determinism contract: metric values are derived from simulation state
 // only; exports iterate std::map (sorted names) and merge in caller (cell)
 // order, so serial and parallel sweep runs serialize byte-identically
 // (tests/obs_metrics_test.cpp).
 
-#include <array>
 #include <cstdint>
-#include <map>
-#include <string>
-#include <string_view>
 
-#ifndef MCS_METRICS_ENABLED
-#define MCS_METRICS_ENABLED 1
-#endif
-
-namespace mcs::sim {
-class JsonWriter;
-}  // namespace mcs::sim
+#include "sim/stats.h"
 
 namespace mcs::obs {
-
-// Monotonic event/byte counter. Exported as one cumulative value; the
-// flight recorder samples it per tick, so rates fall out of the timeline.
-class TsCounter {
- public:
-  void add(std::uint64_t n = 1) { v_ += n; }
-  std::uint64_t value() const { return v_; }
-  void clear() { v_ = 0; }
-
- private:
-  std::uint64_t v_ = 0;
-};
-
-// Instantaneous level (queue depth, pool occupancy, bytes in flight) with a
-// high-water mark. set() is the primitive; add() is set(value + d).
-class TsGauge {
- public:
-  void set(double v) {
-    v_ = v;
-    if (v > hwm_) hwm_ = v;
-  }
-  void add(double d) { set(v_ + d); }
-  double value() const { return v_; }
-  double high_water() const { return hwm_; }
-  // Merge support only: cross-cell high-water is max-of-cells, not the
-  // high-water of the summed level, so MetricsRegistry::merge restores it.
-  void set_high_water(double hwm) { hwm_ = hwm; }
-  void clear() { v_ = hwm_ = 0.0; }
-
- private:
-  double v_ = 0.0;
-  double hwm_ = 0.0;
-};
-
-// Log-bucketed latency/size histogram: power-of-two bucket bounds, fixed
-// array storage, so record() is a shift + increment (zero-alloc, mergeable
-// by bucket-wise addition). Bucket i counts samples in (2^(i-1), 2^i]
-// (bucket 0: <= 1). Values are whatever unit the caller picked — by
-// convention microseconds for latencies, bytes for sizes.
-class TsLogHist {
- public:
-  static constexpr std::size_t kBuckets = 48;
-
-  void record(double v);
-
-  std::uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double max() const { return count_ == 0 ? 0.0 : max_; }
-  double mean() const {
-    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-  }
-  // Upper bucket bound containing the p-th percentile (p in [0,100]);
-  // exact to within the 2x bucket resolution.
-  double percentile(double p) const;
-  const std::array<std::uint64_t, kBuckets>& buckets() const {
-    return buckets_;
-  }
-
-  // Bucket-wise fold; caller-serialized in deterministic (cell) order like
-  // every merge path (sim/stats.h).
-  void merge(const TsLogHist& other);
-  void clear();
-
- private:
-  std::array<std::uint64_t, kBuckets> buckets_{};
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double max_ = 0.0;
-};
-
-// Named metrics for one run (or one ParallelSweep cell). Registration hands
-// out stable pointers (map nodes never move); repeated registration of the
-// same name returns the same metric, so every gateway instance shares
-// "middleware.requests". Not thread-safe: one registry per thread, matching
-// the simulator-per-thread confinement of parallel sweeps.
-class MetricsRegistry {
- public:
-  TsCounter& counter(std::string_view name);
-  TsGauge& gauge(std::string_view name);
-  TsLogHist& histogram(std::string_view name);
-
-  const std::map<std::string, TsCounter, std::less<>>& counters() const {
-    return counters_;
-  }
-  const std::map<std::string, TsGauge, std::less<>>& gauges() const {
-    return gauges_;
-  }
-  const std::map<std::string, TsLogHist, std::less<>>& histograms() const {
-    return histograms_;
-  }
-  std::size_t size() const {
-    return counters_.size() + gauges_.size() + histograms_.size();
-  }
-
-  // Sum of every counter value whose name starts with `prefix` — the
-  // telemetry gate's "component is alive" query.
-  std::uint64_t prefix_sum(std::string_view prefix) const;
-
-  // Fold another registry in: counters add, gauges sum values and take the
-  // max high-water, histograms merge bucket-wise. Caller-serialized, in
-  // deterministic (cell) order, after worker threads join.
-  void merge(const MetricsRegistry& other);
-
-  // Zero every metric, keeping registrations (handles stay valid).
-  void clear_values();
-
-  // {"counters":{...},"gauges":{...},"histograms":{...}}, keys sorted.
-  void to_json(sim::JsonWriter& w) const;
-  std::string to_json_string() const;
-
- private:
-  std::map<std::string, TsCounter, std::less<>> counters_;
-  std::map<std::string, TsGauge, std::less<>> gauges_;
-  std::map<std::string, TsLogHist, std::less<>> histograms_;
-};
-
-#if MCS_METRICS_ENABLED
 
 // --- Ambient (thread-local) plumbing ---------------------------------------
 // One registry per thread, like obs::Install for tracers: parallel sweep
 // cells each install their own registry and merge in cell order.
 
-MetricsRegistry* current_metrics();
+sim::StatsRegistry* current_metrics();
 
 // RAII: makes `reg` the calling thread's registry; restores on destruction.
 class MetricsInstall {
  public:
-  explicit MetricsInstall(MetricsRegistry& reg);
+  explicit MetricsInstall(sim::StatsRegistry& reg);
   ~MetricsInstall();
   MetricsInstall(const MetricsInstall&) = delete;
   MetricsInstall& operator=(const MetricsInstall&) = delete;
 
  private:
-  MetricsRegistry* prev_;
+  sim::StatsRegistry* prev_;
 };
 
 // Registration helpers, called once per component at construction: the
 // returned handle is cached in a member and is nullptr when no registry is
-// ambient (every update then predicts not-taken).
-TsCounter* metric_counter(const char* name);
-TsGauge* metric_gauge(const char* name);
-TsLogHist* metric_histogram(const char* name);
+// ambient (every update then predicts not-taken). Repeated registration of
+// the same name returns the same metric, so every gateway instance shares
+// "middleware.requests".
+sim::Counter* metric_counter(const char* name);
+sim::Gauge* metric_gauge(const char* name);
+sim::LogHistogram* metric_histogram(const char* name);
 
 // Hot-path update helpers: one null test, nothing else.
-inline void metric_add(TsCounter* c, std::uint64_t n = 1) {
+inline void metric_add(sim::Counter* c, std::uint64_t n = 1) {
   if (c != nullptr) c->add(n);
 }
-inline void metric_set(TsGauge* g, double v) {
+inline void metric_set(sim::Gauge* g, double v) {
   if (g != nullptr) g->set(v);
 }
-inline void metric_adjust(TsGauge* g, double d) {
+inline void metric_adjust(sim::Gauge* g, double d) {
   if (g != nullptr) g->add(d);
 }
-inline void metric_record(TsLogHist* h, double v) {
+inline void metric_record(sim::LogHistogram* h, double v) {
   if (h != nullptr) h->record(v);
 }
-
-#else  // !MCS_METRICS_ENABLED — registration and updates compile away.
-
-inline MetricsRegistry* current_metrics() { return nullptr; }
-
-class MetricsInstall {
- public:
-  explicit MetricsInstall(MetricsRegistry&) {}
-};
-
-inline TsCounter* metric_counter(const char*) { return nullptr; }
-inline TsGauge* metric_gauge(const char*) { return nullptr; }
-inline TsLogHist* metric_histogram(const char*) { return nullptr; }
-
-inline void metric_add(TsCounter*, std::uint64_t = 1) {}
-inline void metric_set(TsGauge*, double) {}
-inline void metric_adjust(TsGauge*, double) {}
-inline void metric_record(TsLogHist*, double) {}
-
-#endif  // MCS_METRICS_ENABLED
 
 }  // namespace mcs::obs

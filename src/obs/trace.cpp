@@ -197,12 +197,8 @@ void Tracer::clear() {
   live_unattributed_us_ = 0.0;
 }
 
-Tracer::Breakdown Tracer::breakdown() const {
-  Breakdown b;
-  b.traces = traces_sampled_;
-  b.spans = spans_.size();
-  b.instants = instants_.size();
-
+template <typename F>
+void Tracer::for_each_self_time(F&& f) const {
   // covered[i]: time inside span i+1 spent in direct closed children.
   std::vector<double> covered(spans_.size(), 0.0);
   for (const Span& s : spans_) {
@@ -217,7 +213,16 @@ Tracer::Breakdown Tracer::breakdown() const {
     const Span& s = spans_[i];
     if (s.open) continue;
     const double dur = (s.end - s.start).to_micros();
-    const double self = std::max(0.0, dur - covered[i]);
+    f(s, dur, std::max(0.0, dur - covered[i]));
+  }
+}
+
+Tracer::Breakdown Tracer::breakdown() const {
+  Breakdown b;
+  b.traces = traces_sampled_;
+  b.spans = spans_.size();
+  b.instants = instants_.size();
+  for_each_self_time([&b](const Span& s, double dur, double self) {
     const int bucket = kBucketOf[static_cast<std::size_t>(s.component)];
     if (bucket < 0) {
       b.unattributed_us += self;
@@ -225,7 +230,7 @@ Tracer::Breakdown Tracer::breakdown() const {
       b.bucket_us[static_cast<std::size_t>(bucket)] += self;
     }
     if (s.parent == 0) b.total_us += dur;
-  }
+  });
   return b;
 }
 
@@ -321,20 +326,7 @@ void Tracer::export_stats(sim::StatsRegistry& reg) const {
   sim::Histogram& self_unattributed = reg.histogram("self_us_unattributed");
   sim::Histogram& root_ms = reg.histogram("root_latency_ms");
 
-  std::vector<double> covered(spans_.size(), 0.0);
-  for (const Span& s : spans_) {
-    if (s.open || s.parent == 0) continue;
-    const Span& p = spans_[s.parent - 1];
-    if (p.open) continue;
-    const sim::Time lo = std::max(p.start, s.start);
-    const sim::Time hi = std::min(p.end, s.end);
-    if (hi > lo) covered[s.parent - 1] += (hi - lo).to_micros();
-  }
-  for (std::size_t i = 0; i < spans_.size(); ++i) {
-    const Span& s = spans_[i];
-    if (s.open) continue;
-    const double dur = (s.end - s.start).to_micros();
-    const double self_us = std::max(0.0, dur - covered[i]);
+  for_each_self_time([&](const Span& s, double dur, double self_us) {
     const int bucket = kBucketOf[static_cast<std::size_t>(s.component)];
     if (bucket < 0) {
       self_unattributed.record(self_us);
@@ -355,7 +347,7 @@ void Tracer::export_stats(sim::StatsRegistry& reg) const {
       }
       reg.counter("root_us_le_inf").add();
     }
-  }
+  });
 }
 
 void export_kernel_stats(const sim::Simulator& sim, sim::StatsSnapshot& snap,
@@ -374,8 +366,6 @@ void export_kernel_stats(const sim::Simulator& sim, sim::StatsSnapshot& snap,
 // ---------------------------------------------------------------------------
 // Ambient plumbing
 // ---------------------------------------------------------------------------
-
-#if MCS_TRACE_ENABLED
 
 namespace {
 
@@ -438,7 +428,5 @@ void instant(TraceContext ctx, Component c, const char* name, sim::Time now) {
     t_tracer->add_instant(ctx, c, name, now);
   }
 }
-
-#endif  // MCS_TRACE_ENABLED
 
 }  // namespace mcs::obs

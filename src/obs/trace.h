@@ -15,10 +15,10 @@
 // exports (pinned by tests/obs_trace_test.cpp, including under
 // ParallelSweep: each cell thread installs its own tracer).
 //
-// Cost contract: with MCS_TRACE=OFF every ambient helper below compiles to
-// nothing; with it ON but no tracer installed, a helper is one thread_local
-// load and a branch. Nothing here ever schedules events or draws from a
-// model Rng, so enabling tracing cannot perturb simulated behaviour.
+// Cost contract: with no tracer installed, an ambient helper is one
+// thread_local load and a branch (tools/check_kernel_bench.py pins that).
+// Nothing here ever schedules events or draws from a model Rng, so
+// enabling tracing cannot perturb simulated behaviour.
 
 #include <array>
 #include <cstdint>
@@ -28,10 +28,6 @@
 #include "sim/random.h"
 #include "sim/stats.h"
 #include "sim/time.h"
-
-#ifndef MCS_TRACE_ENABLED
-#define MCS_TRACE_ENABLED 1
-#endif
 
 namespace mcs::sim {
 class JsonWriter;
@@ -176,6 +172,10 @@ class Tracer {
 
  private:
   Span* find(TraceContext ctx);
+  // Calls f(span, duration_us, self_us) for every closed span, in span
+  // order: the one self-time pass behind breakdown() and export_stats().
+  template <typename F>
+  void for_each_self_time(F&& f) const;
 
   void live_bucket_add(Component c, double us);
 
@@ -197,8 +197,6 @@ class Tracer {
 // the caller's simulator is thread-confined (they all are).
 void export_kernel_stats(const sim::Simulator& sim, sim::StatsSnapshot& snap,
                          const std::string& prefix = "kernel");
-
-#if MCS_TRACE_ENABLED
 
 // --- Ambient (thread-local) plumbing ---------------------------------------
 
@@ -243,35 +241,5 @@ TraceContext begin_child(TraceContext parent, Component c, const char* name,
                          sim::Time now);
 void end_span(TraceContext ctx, sim::Time now);
 void instant(TraceContext ctx, Component c, const char* name, sim::Time now);
-
-#else  // !MCS_TRACE_ENABLED — everything inlines away.
-
-inline Tracer* current_tracer() { return nullptr; }
-inline TraceContext active_context() { return {}; }
-
-class Install {
- public:
-  explicit Install(Tracer&) {}
-};
-
-class ActiveScope {
- public:
-  explicit ActiveScope(TraceContext) {}
-};
-
-inline TraceContext start_trace(Component, const char*, sim::Time) {
-  return {};
-}
-inline TraceContext begin_span(Component, const char*, sim::Time) {
-  return {};
-}
-inline TraceContext begin_child(TraceContext, Component, const char*,
-                                sim::Time) {
-  return {};
-}
-inline void end_span(TraceContext, sim::Time) {}
-inline void instant(TraceContext, Component, const char*, sim::Time) {}
-
-#endif  // MCS_TRACE_ENABLED
 
 }  // namespace mcs::obs

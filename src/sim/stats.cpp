@@ -4,13 +4,10 @@
 #include <cmath>
 
 #include "sim/json.h"
-#include "sim/util.h"
 
 namespace mcs::sim {
 
-Histogram::Histogram(std::size_t max_samples) : max_samples_{max_samples} {
-  samples_.reserve(std::min<std::size_t>(max_samples_, 1024));
-}
+Histogram::Histogram() { samples_.reserve(1024); }
 
 void Histogram::record(double value) {
   ++count_;
@@ -18,7 +15,7 @@ void Histogram::record(double value) {
   sum_sq_ += value * value;
   min_ = std::min(min_, value);
   max_ = std::max(max_, value);
-  if (samples_.size() < max_samples_) {
+  if (samples_.size() < kMaxSamples) {
     samples_.push_back(value);
     sorted_ = false;
   } else {
@@ -58,16 +55,6 @@ double Histogram::percentile(double p) const {
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
 }
 
-void Histogram::clear() {
-  count_ = 0;
-  sum_ = 0.0;
-  sum_sq_ = 0.0;
-  min_ = std::numeric_limits<double>::infinity();
-  max_ = -std::numeric_limits<double>::infinity();
-  samples_.clear();
-  sorted_ = true;
-}
-
 void Histogram::merge(const Histogram& other) {
   if (other.count_ == 0) return;
   count_ += other.count_;
@@ -76,7 +63,7 @@ void Histogram::merge(const Histogram& other) {
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
   for (const double v : other.samples_) {
-    if (samples_.size() >= max_samples_) break;
+    if (samples_.size() >= kMaxSamples) break;
     samples_.push_back(v);
   }
   sorted_ = false;
@@ -98,33 +85,73 @@ void Histogram::to_json(JsonWriter& w) const {
   w.end_object();
 }
 
-std::string Histogram::summary(const char* unit) const {
-  if (count_ == 0) return "n=0";
-  return strf("n=%llu mean=%.3f%s p50=%.3f%s p95=%.3f%s p99=%.3f%s max=%.3f%s",
-              static_cast<unsigned long long>(count_), mean(), unit,
-              percentile(50), unit, percentile(95), unit, percentile(99), unit,
-              max(), unit);
+namespace {
+
+// Log2 bucket index for a non-negative value: bucket 0 holds v <= 1,
+// bucket i holds (2^(i-1), 2^i], everything past the top bound saturates
+// into the last bucket. 2^47 us is ~4.5 years, far beyond any sim horizon.
+std::size_t log_bucket_index(double v) {
+  if (!(v > 1.0)) return 0;  // also catches NaN
+  const int e = std::ilogb(v);
+  // v in (2^(i-1), 2^i] <=> ilogb in {i-1} unless v is an exact power of two.
+  std::size_t i = static_cast<std::size_t>(e);
+  if (std::ldexp(1.0, e) != v) ++i;
+  return std::min(i, LogHistogram::kBuckets - 1);
 }
 
-std::string StatsRegistry::report(const std::string& prefix) const {
-  std::string out;
-  out.reserve(64 * (counters_.size() + histograms_.size()));
-  for (const auto& [name, c] : counters_) {
-    out += strf("%s%s = %llu\n", prefix.c_str(), name.c_str(),
-                static_cast<unsigned long long>(c.value()));
+}  // namespace
+
+void LogHistogram::record(double v) {
+  if (std::isnan(v)) return;
+  if (v < 0.0) v = 0.0;
+  ++buckets_[log_bucket_index(v)];
+  ++count_;
+  sum_ += v;
+  if (v > max_) max_ = v;
+}
+
+double LogHistogram::percentile(double p) const {
+  if (count_ == 0) return 0.0;
+  p = std::clamp(p, 0.0, 100.0);
+  const double target = p / 100.0 * static_cast<double>(count_);
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    seen += buckets_[i];
+    if (static_cast<double>(seen) >= target) {
+      return std::ldexp(1.0, static_cast<int>(i));
+    }
   }
-  for (const auto& [name, h] : histograms_) {
-    out += prefix + name + ": " + h.summary() + "\n";
-  }
-  return out;
+  return std::ldexp(1.0, static_cast<int>(kBuckets - 1));
+}
+
+void LogHistogram::merge(const LogHistogram& other) {
+  for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
+  count_ += other.count_;
+  sum_ += other.sum_;
+  if (other.max_ > max_) max_ = other.max_;
+}
+
+void LogHistogram::to_json(JsonWriter& w) const {
+  w.begin_object();
+  w.key("count").value(count_);
+  w.key("sum").value(sum_);
+  w.key("max").value(max());
+  w.key("p50").value(percentile(50));
+  w.key("p95").value(percentile(95));
+  w.key("p99").value(percentile(99));
+  w.end_object();
 }
 
 void StatsRegistry::merge(const StatsRegistry& other) {
   for (const auto& [name, c] : other.counters_) {
     counters_[name].add(c.value());
   }
+  for (const auto& [name, g] : other.gauges_) gauges_[name].merge(g);
   for (const auto& [name, h] : other.histograms_) {
     histograms_[name].merge(h);
+  }
+  for (const auto& [name, h] : other.log_histograms_) {
+    log_histograms_[name].merge(h);
   }
 }
 
@@ -135,8 +162,24 @@ void StatsRegistry::to_json(JsonWriter& w) const {
     w.key(name).value(c.value());
   }
   w.end_object();
+  // Only a registry with a gauge writes "gauges", so per-component exports
+  // (counters and histograms only) keep their exact shape.
+  if (!gauges_.empty()) {
+    w.key("gauges").begin_object();
+    for (const auto& [name, g] : gauges_) {
+      w.key(name).begin_object();
+      w.key("value").value(g.value());
+      w.key("high_water").value(g.high_water());
+      w.end_object();
+    }
+    w.end_object();
+  }
   w.key("histograms").begin_object();
   for (const auto& [name, h] : histograms_) {
+    w.key(name);
+    h.to_json(w);
+  }
+  for (const auto& [name, h] : log_histograms_) {
     w.key(name);
     h.to_json(w);
   }

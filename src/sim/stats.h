@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -7,7 +9,6 @@
 #include <vector>
 
 #include "sim/thread_annotations.h"
-#include "sim/time.h"
 
 namespace mcs::sim {
 
@@ -18,10 +19,13 @@ class JsonWriter;
 // so memory stays bounded on long runs).
 class Histogram {
  public:
-  explicit Histogram(std::size_t max_samples = 65536);
+  // Retained samples; past this many, percentiles come from a uniform
+  // reservoir while count/sum/min/max stay exact.
+  static constexpr std::size_t kMaxSamples = 65536;
+
+  Histogram();
 
   void record(double value);
-  void record_time(Time t) { record(t.to_millis()); }
 
   std::uint64_t count() const { return count_; }
   double mean() const;
@@ -32,8 +36,6 @@ class Histogram {
   // p in [0,100]; exact over retained samples.
   double percentile(double p) const;
 
-  void clear();
-
   // Fold another histogram into this one. Count/sum/min/max stay exact;
   // retained samples are concatenated up to the cap, so merged percentiles
   // are approximate once either side overflowed its reservoir.
@@ -43,14 +45,10 @@ class Histogram {
   // (float addition does not commute bit-for-bit across orders).
   void merge(const Histogram& other) MCS_EXTERNALLY_SERIALIZED;
 
-  // "n=100 mean=1.2 p50=1.1 p95=2.0 max=3.4"
-  std::string summary(const char* unit = "") const;
-
   // {"count":..,"mean":..,"stddev":..,"min":..,"max":..,"p50":..,...}
   void to_json(JsonWriter& w) const;
 
  private:
-  std::size_t max_samples_ = 0;
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
   double sum_sq_ = 0.0;
@@ -63,25 +61,77 @@ class Histogram {
   std::uint64_t reservoir_state_ = 0x853c49e6748fea9bull;
 };
 
-// Monotonic event/byte counter with a rate helper.
+// Log-bucketed latency/size histogram: power-of-two bucket bounds, fixed
+// array storage, so record() is a shift + increment (zero-alloc, mergeable
+// by bucket-wise addition). Bucket i counts samples in (2^(i-1), 2^i]
+// (bucket 0: <= 1). Values are whatever unit the caller picked — by
+// convention microseconds for latencies, bytes for sizes.
+class LogHistogram {
+ public:
+  static constexpr std::size_t kBuckets = 48;
+
+  void record(double v);
+
+  std::uint64_t count() const { return count_; }
+  double sum() const { return sum_; }
+  double max() const { return count_ == 0 ? 0.0 : max_; }
+  // Upper bucket bound containing the p-th percentile (p in [0,100]);
+  // exact to within the 2x bucket resolution.
+  double percentile(double p) const;
+  const std::array<std::uint64_t, kBuckets>& buckets() const {
+    return buckets_;
+  }
+
+  // Bucket-wise fold; caller-serialized in deterministic (cell) order like
+  // Histogram::merge.
+  void merge(const LogHistogram& other) MCS_EXTERNALLY_SERIALIZED;
+
+  // {"count":..,"sum":..,"max":..,"p50":..,"p95":..,"p99":..}
+  void to_json(JsonWriter& w) const;
+
+ private:
+  std::array<std::uint64_t, kBuckets> buckets_{};
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double max_ = 0.0;
+};
+
+// Monotonic event/byte counter.
 class Counter {
  public:
   void add(std::uint64_t n = 1) { value_ += n; }
   std::uint64_t value() const { return value_; }
-  void clear() { value_ = 0; }
-  // Events (or bytes) per second over `elapsed`.
-  double rate(Time elapsed) const {
-    const double s = elapsed.to_seconds();
-    return s > 0.0 ? static_cast<double>(value_) / s : 0.0;
-  }
 
  private:
   std::uint64_t value_ = 0;
 };
 
+// Instantaneous level (queue depth, pool occupancy, bytes in flight) with a
+// high-water mark. set() is the primitive; add() is set(value + d).
+class Gauge {
+ public:
+  void set(double v) {
+    v_ = v;
+    if (v > hwm_) hwm_ = v;
+  }
+  void add(double d) { set(v_ + d); }
+  double value() const { return v_; }
+  double high_water() const { return hwm_; }
+  // Levels add (total queued bytes across cells); the merged high-water is
+  // the max of the two high-waters, not the high-water of the summed level.
+  void merge(const Gauge& other) {
+    v_ += other.v_;
+    hwm_ = std::max(hwm_, other.hwm_);
+  }
+
+ private:
+  double v_ = 0.0;
+  double hwm_ = 0.0;
+};
+
 // One named counter of one registry, found once and then reached through a
 // cached pointer (map nodes never move), so the hot path does no string
-// lookup; the registry-side twin of the obs::metric_* handles. The owner of
+// lookup; the lazy twin of the eager obs::metric_* pointers. The owner of
 // a registry keeps one handle per counter it updates:
 //
 //   sim::CounterHandle c_tx_packets_{"tx_packets"};
@@ -107,7 +157,12 @@ class CounterHandle {
   Counter* counter_ = nullptr;
 };
 
-// Named stats for one component; registries compose into system reports.
+// Named stats: one registry per component (counters and exact histograms),
+// or one per run for the ambient telemetry of obs/metrics.h (counters,
+// gauges and log histograms). Map nodes never move, so a reference handed
+// out stays valid for the registry's lifetime. Not thread-safe: one
+// registry per thread, matching the simulator-per-thread confinement of
+// parallel sweeps.
 class StatsRegistry {
  public:
   // By name, for names built at run time (exports, tests).
@@ -117,29 +172,40 @@ class StatsRegistry {
     if (h.counter_ == nullptr) h.counter_ = &counters_[h.name_];
     return *h.counter_;
   }
+  Gauge& gauge(const std::string& name) { return gauges_[name]; }
   Histogram& histogram(const std::string& name) { return histograms_[name]; }
+  LogHistogram& log_histogram(const std::string& name) {
+    return log_histograms_[name];
+  }
 
   const std::map<std::string, Counter>& counters() const { return counters_; }
+  const std::map<std::string, Gauge>& gauges() const { return gauges_; }
   const std::map<std::string, Histogram>& histograms() const {
     return histograms_;
   }
+  const std::map<std::string, LogHistogram>& log_histograms() const {
+    return log_histograms_;
+  }
 
-  std::string report(const std::string& prefix = "") const;
-
-  // Fold another registry into this one: counters add, histograms merge.
-  // Used to aggregate per-entity registries (e.g. every mobile's browser)
-  // into one component-level view. Caller-serialized, in deterministic
-  // (cell) order, after worker threads join — see Histogram::merge.
+  // Fold another registry into this one: counters add, gauges merge (see
+  // Gauge::merge), histograms of both kinds merge. Used to aggregate
+  // per-entity registries (e.g. every mobile's browser) into one
+  // component-level view, and sweep cells into one run. Caller-serialized,
+  // in deterministic (cell) order, after worker threads join — see
+  // Histogram::merge.
   void merge(const StatsRegistry& other) MCS_EXTERNALLY_SERIALIZED;
 
-  // {"counters":{...},"histograms":{...}}; keys in sorted (map) order so
-  // serialization is deterministic.
+  // {"counters":{...},"gauges":{...},"histograms":{...}}; keys in sorted
+  // (map) order within each kind so serialization is deterministic. Exact
+  // histograms precede log histograms in "histograms".
   void to_json(JsonWriter& w) const;
   std::string to_json_string() const;
 
  private:
   std::map<std::string, Counter> counters_;
+  std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
+  std::map<std::string, LogHistogram> log_histograms_;
 };
 
 // System-wide aggregation helper: named point-in-time copies of component

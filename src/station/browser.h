@@ -130,9 +130,9 @@ class MicroBrowser {
                                            middleware::kStationMemoBytes};
   // Telemetry handles, cached at construction (obs/metrics.h): null when no
   // registry is ambient, so each update is one predictable branch.
-  obs::TsCounter* m_browses_ = obs::metric_counter("station.browse");
-  obs::TsCounter* m_cache_hits_ = obs::metric_counter("station.cache_hits");
-  obs::TsLogHist* m_page_us_ = obs::metric_histogram("station.page_us");
+  sim::Counter* m_browses_ = obs::metric_counter("station.browse");
+  sim::Counter* m_cache_hits_ = obs::metric_counter("station.cache_hits");
+  sim::LogHistogram* m_page_us_ = obs::metric_histogram("station.page_us");
 };
 
 }  // namespace mcs::station

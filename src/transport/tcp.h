@@ -199,9 +199,9 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   TcpCounters counters_;
   // Telemetry handles, cached per socket at construction (obs/metrics.h);
   // the names are shared, so "transport.tcp.*" totals every connection.
-  obs::TsCounter* m_segments_ = obs::metric_counter("transport.tcp.segments");
-  obs::TsCounter* m_rtx_ = obs::metric_counter("transport.tcp.rtx");
-  obs::TsCounter* m_timeouts_ = obs::metric_counter("transport.tcp.timeouts");
+  sim::Counter* m_segments_ = obs::metric_counter("transport.tcp.segments");
+  sim::Counter* m_rtx_ = obs::metric_counter("transport.tcp.rtx");
+  sim::Counter* m_timeouts_ = obs::metric_counter("transport.tcp.timeouts");
 };
 
 const char* to_string(TcpSocket::State s);

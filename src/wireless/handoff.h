@@ -53,7 +53,7 @@ class HandoffManager {
   std::uint64_t handoffs_ = 0;
   std::uint64_t coverage_losses_ = 0;
   // Telemetry handle, cached at construction (obs/metrics.h).
-  obs::TsCounter* m_handoffs_ = obs::metric_counter("mobileip.handoffs");
+  sim::Counter* m_handoffs_ = obs::metric_counter("mobileip.handoffs");
 };
 
 }  // namespace mcs::wireless

@@ -140,10 +140,10 @@ class WirelessMedium : public net::Channel {
   sim::CounterHandle c_drop_loss_{"drop_loss"};
   // Telemetry handles, cached at construction (obs/metrics.h); shared names
   // across cells so "wireless.*" totals the whole air tier.
-  obs::TsCounter* m_frames_ = obs::metric_counter("wireless.frames");
-  obs::TsCounter* m_tx_bytes_ = obs::metric_counter("wireless.tx_bytes");
-  obs::TsCounter* m_drops_ = obs::metric_counter("wireless.drops");
-  obs::TsGauge* m_queued_bytes_ = obs::metric_gauge("wireless.queued_bytes");
+  sim::Counter* m_frames_ = obs::metric_counter("wireless.frames");
+  sim::Counter* m_tx_bytes_ = obs::metric_counter("wireless.tx_bytes");
+  sim::Counter* m_drops_ = obs::metric_counter("wireless.drops");
+  sim::Gauge* m_queued_bytes_ = obs::metric_gauge("wireless.queued_bytes");
 };
 
 }  // namespace mcs::wireless

@@ -130,11 +130,11 @@ class LoadDriver {
   // Telemetry handles, cached at construction (obs/metrics.h): the SLO
   // outcome classes as counters, end-to-end latency as a log histogram,
   // and issued-but-unfinished requests as a gauge.
-  obs::TsCounter* m_ok_ = obs::metric_counter("workload.ok");
-  obs::TsCounter* m_error_ = obs::metric_counter("workload.error");
-  obs::TsCounter* m_timeout_ = obs::metric_counter("workload.timeout");
-  obs::TsGauge* m_inflight_ = obs::metric_gauge("workload.inflight");
-  obs::TsLogHist* m_latency_us_ =
+  sim::Counter* m_ok_ = obs::metric_counter("workload.ok");
+  sim::Counter* m_error_ = obs::metric_counter("workload.error");
+  sim::Counter* m_timeout_ = obs::metric_counter("workload.timeout");
+  sim::Gauge* m_inflight_ = obs::metric_gauge("workload.inflight");
+  sim::LogHistogram* m_latency_us_ =
       obs::metric_histogram("workload.latency_us");
 
   std::vector<std::unique_ptr<Request>> requests_;

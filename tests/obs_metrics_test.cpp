@@ -1,7 +1,8 @@
 // Unit tests for the always-on telemetry layer (obs/metrics.h,
-// obs/flight_recorder.h): log-bucket edges, registry merge semantics, the
-// flight-recorder ring (empty, wrapped, merged), and the parallel-sweep
-// guarantee that serial and threaded cell merges serialize byte-identically.
+// obs/flight_recorder.h): the ambient registry plumbing, the flight-recorder
+// ring (empty, wrapped, merged), and the parallel-sweep guarantee that
+// serial and threaded cell merges serialize byte-identically. The registry
+// itself (sim::StatsRegistry) is tested in sim_stats_test.cpp.
 
 #include <gtest/gtest.h>
 
@@ -14,106 +15,35 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "sim/simulator.h"
+#include "sim/stats.h"
 #include "sim/time.h"
 #include "workload/sweep.h"
 
 namespace mcs {
 namespace {
 
-// --- TsLogHist -------------------------------------------------------------
+// --- Ambient plumbing -----------------------------------------------------
 
-TEST(TsLogHistTest, BucketEdgesArePowersOfTwo) {
-  obs::TsLogHist h;
-  h.record(0.0);   // <= 1 -> bucket 0
-  h.record(1.0);   // exact bound -> bucket 0
-  h.record(1.5);   // (1,2] -> bucket 1
-  h.record(2.0);   // exact power of two lands in its own bucket
-  h.record(3.0);   // (2,4] -> bucket 2
-  h.record(4.0);   // (2,4] -> bucket 2
-  const auto& b = h.buckets();
-  EXPECT_EQ(b[0], 2u);
-  EXPECT_EQ(b[1], 2u);
-  EXPECT_EQ(b[2], 2u);
-  EXPECT_EQ(h.count(), 6u);
-  EXPECT_DOUBLE_EQ(h.sum(), 11.5);
-  EXPECT_DOUBLE_EQ(h.max(), 4.0);
-}
-
-TEST(TsLogHistTest, OutOfRangeValuesSaturateOrClamp) {
-  obs::TsLogHist h;
-  h.record(-5.0);  // negative clamps to 0 -> bucket 0
-  h.record(1e30);  // beyond the top bound saturates into the last bucket
-  EXPECT_EQ(h.buckets()[0], 1u);
-  EXPECT_EQ(h.buckets()[obs::TsLogHist::kBuckets - 1], 1u);
-  EXPECT_EQ(h.count(), 2u);
-}
-
-TEST(TsLogHistTest, PercentileResolvesToBucketUpperBound) {
-  obs::TsLogHist h;
-  for (int i = 0; i < 99; ++i) h.record(100.0);   // bucket (64,128]
-  h.record(10000.0);                              // bucket (8192,16384]
-  EXPECT_DOUBLE_EQ(h.percentile(50), 128.0);
-  EXPECT_DOUBLE_EQ(h.percentile(100), 16384.0);
-  EXPECT_DOUBLE_EQ(obs::TsLogHist{}.percentile(99), 0.0);  // empty
-}
-
-// --- MetricsRegistry -------------------------------------------------------
-
-TEST(MetricsRegistryTest, MergeSumsCountersAndTakesGaugeHighWaterMax) {
-  obs::MetricsRegistry a;
-  obs::MetricsRegistry b;
-  a.counter("c").add(3);
-  b.counter("c").add(4);
-  b.counter("only_b").add(1);
-
-  a.gauge("g").set(10.0);  // hwm 10
-  a.gauge("g").set(2.0);
-  b.gauge("g").set(5.0);   // hwm 5
-
-  a.histogram("h").record(100.0);
-  b.histogram("h").record(100.0);
-
-  a.merge(b);
-  EXPECT_EQ(a.counter("c").value(), 7u);
-  EXPECT_EQ(a.counter("only_b").value(), 1u);
-  // Levels add; the merged high-water is max-of-cells, not the high-water
-  // of the summed level (2+5=7 must not override 10).
-  EXPECT_DOUBLE_EQ(a.gauge("g").value(), 7.0);
-  EXPECT_DOUBLE_EQ(a.gauge("g").high_water(), 10.0);
-  EXPECT_EQ(a.histogram("h").count(), 2u);
-}
-
-TEST(MetricsRegistryTest, RegistrationIsIdempotentAndHandlesAreStable) {
-  obs::MetricsRegistry reg;
-  obs::TsCounter* c1 = &reg.counter("x");
-  reg.counter("a");  // map churn must not move existing nodes
-  reg.counter("z");
-  EXPECT_EQ(c1, &reg.counter("x"));
-  EXPECT_EQ(reg.size(), 3u);
-}
-
-TEST(MetricsRegistryTest, AmbientHelpersAreNullWithoutInstall) {
+TEST(MetricsInstallTest, AmbientHelpersAreNullWithoutInstall) {
   EXPECT_EQ(obs::current_metrics(), nullptr);
   EXPECT_EQ(obs::metric_counter("nobody.home"), nullptr);
   obs::metric_add(nullptr, 7);  // must be a safe no-op
   obs::metric_set(nullptr, 1.0);
   obs::metric_record(nullptr, 1.0);
 
-#if MCS_METRICS_ENABLED
-  // With the layer compiled in, installing a registry makes registration
-  // live; under MCS_METRICS=OFF the helpers above stay constant-nullptr
-  // stubs and there is nothing further to observe.
-  obs::MetricsRegistry reg;
+  // Installing a registry makes registration live and eager: the key
+  // exists before anything is counted.
+  sim::StatsRegistry reg;
   {
     obs::MetricsInstall install{reg};
     EXPECT_EQ(obs::current_metrics(), &reg);
-    obs::TsCounter* c = obs::metric_counter("hits");
+    sim::Counter* c = obs::metric_counter("hits");
     ASSERT_NE(c, nullptr);
+    EXPECT_TRUE(reg.counters().contains("hits"));
     obs::metric_add(c, 2);
   }
   EXPECT_EQ(obs::current_metrics(), nullptr);  // RAII restored
   EXPECT_EQ(reg.counter("hits").value(), 2u);
-#endif
 }
 
 // --- FlightRecorder --------------------------------------------------------
@@ -154,10 +84,10 @@ TEST(FlightRecorderTest, WrapAroundKeepsTheNewestCapacityRows) {
 }
 
 TEST(FlightRecorderTest, AddRegistryExpandsGaugeAndHistogramSeries) {
-  obs::MetricsRegistry reg;
+  sim::StatsRegistry reg;
   reg.counter("c");
   reg.gauge("g");
-  reg.histogram("h");
+  reg.log_histogram("h");
   obs::FlightRecorder rec{small_ring(4)};
   rec.add_registry(reg);
   // counter -> value; gauge -> value + .hwm; histogram -> .count + .sum
@@ -191,24 +121,23 @@ TEST(FlightRecorderTest, MergeAddsSampleBySampleAcrossWrappedRings) {
 // --- Serial vs parallel cell merge -----------------------------------------
 
 struct CellOut {
-  std::unique_ptr<obs::MetricsRegistry> reg;
+  std::unique_ptr<sim::StatsRegistry> reg;
   std::unique_ptr<obs::FlightRecorder> rec;
 };
 
 // One simulated cell: deterministic activity against the cell's own
 // registry, sampled by the cell's own recorder — the shape ParallelSweep
 // cells use. All values derive from the cell index and sim time only.
-// Handles come straight off the registry (not the ambient helpers) so the
-// merge guarantee is exercised under MCS_METRICS=OFF builds too.
+// Handles come straight off the registry, not the ambient helpers.
 CellOut run_cell(std::size_t cell) {
   CellOut out;
-  out.reg = std::make_unique<obs::MetricsRegistry>();
+  out.reg = std::make_unique<sim::StatsRegistry>();
   out.rec = std::make_unique<obs::FlightRecorder>(small_ring(8));
 
   sim::Simulator sim;
-  obs::TsCounter* work = &out.reg->counter("cell.work");
-  obs::TsGauge* depth = &out.reg->gauge("cell.depth");
-  obs::TsLogHist* lat = &out.reg->histogram("cell.latency_us");
+  sim::Counter* work = &out.reg->counter("cell.work");
+  sim::Gauge* depth = &out.reg->gauge("cell.depth");
+  sim::LogHistogram* lat = &out.reg->log_histogram("cell.latency_us");
   out.rec->add_registry(*out.reg);
 
   for (int k = 1; k <= 10; ++k) {
@@ -231,7 +160,7 @@ std::string merged_telemetry(int threads) {
   std::vector<CellOut> cells =
       sweep.map_cells<CellOut>(4, [](std::size_t i) { return run_cell(i); });
 
-  obs::MetricsRegistry reg;
+  sim::StatsRegistry reg;
   std::unique_ptr<obs::FlightRecorder> rec = std::move(cells[0].rec);
   reg.merge(*cells[0].reg);
   for (std::size_t i = 1; i < cells.size(); ++i) {

@@ -3,7 +3,7 @@
 //   1. Tracer unit behaviour: span trees, overlap-clamped self time, the
 //      head sampler, the span cap, exporter schema.
 //   2. Ambient plumbing: Install / ActiveScope thread-local routing and the
-//      no-tracer no-op contract (compiled only with MCS_TRACE=ON).
+//      no-tracer no-op contract.
 //   3. End to end: a traced McSystem workload must export byte-identical
 //      Perfetto JSON across reruns at the same seed — including when cells
 //      run under ParallelSweep — and attribute nonzero self time to every
@@ -15,12 +15,14 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/apps.h"
 #include "core/system.h"
 #include "sim/json.h"
 #include "sim/simulator.h"
+#include "sim/stats.h"
 #include "workload/driver.h"
 #include "workload/metrics.h"
 #include "workload/session.h"
@@ -255,8 +257,6 @@ TEST(ComponentTest, BucketFoldMatchesFigure2) {
   EXPECT_STREQ(component_bucket(Component::kHostDb), "host");
 }
 
-#if MCS_TRACE_ENABLED
-
 // ---------------------------------------------------------------------------
 // Ambient plumbing
 // ---------------------------------------------------------------------------
@@ -307,6 +307,7 @@ TEST(AmbientTest, InstallRoutesAndRestores) {
 struct TracedRun {
   std::string chrome_json;
   Tracer::Breakdown breakdown;
+  sim::StatsRegistry trace_stats;
   std::string snapshot_json;
 };
 
@@ -339,6 +340,7 @@ TracedRun run_traced(std::uint64_t seed, station::BrowserMode middleware,
   TracedRun out;
   out.chrome_json = tracer.chrome_trace_json();
   out.breakdown = tracer.breakdown();
+  tracer.export_stats(out.trace_stats);
   out.snapshot_json = workload::snapshot_system(sys).to_json_string();
   return out;
 }
@@ -350,6 +352,25 @@ TEST(TracedSystemTest, AllSixComponentsAccrueSelfTime) {
   EXPECT_GT(r.breakdown.total_us, 0.0);
   for (std::size_t i = 0; i < kBucketCount; ++i) {
     EXPECT_GT(r.breakdown.bucket_us[i], 0.0) << bucket_name(i);
+  }
+}
+
+// breakdown() and export_stats() read one self-time pass: every bucket's
+// self-time histogram sums, exactly, to the breakdown's bucket total.
+TEST(TracedSystemTest, ExportedSelfTimeSumsEqualBreakdownExactly) {
+  for (const auto& [mode, phy] :
+       {std::pair{station::BrowserMode::kWap, wireless::wifi_802_11b()},
+        std::pair{station::BrowserMode::kImode, wireless::gprs()}}) {
+    const TracedRun r = run_traced(11, mode, phy);
+    const auto& hists = r.trace_stats.histograms();
+    for (std::size_t i = 0; i < kBucketCount; ++i) {
+      const std::string name = std::string{"self_us_"} + bucket_name(i);
+      ASSERT_TRUE(hists.contains(name)) << name;
+      EXPECT_EQ(hists.at(name).sum(), r.breakdown.bucket_us[i]) << name;
+    }
+    ASSERT_TRUE(hists.contains("self_us_unattributed"));
+    EXPECT_EQ(hists.at("self_us_unattributed").sum(),
+              r.breakdown.unattributed_us);
   }
 }
 
@@ -412,8 +433,6 @@ TEST(TracedSystemTest, ParallelSweepCellsMatchSerialByteForByte) {
     EXPECT_FALSE(serial[i].empty());
   }
 }
-
-#endif  // MCS_TRACE_ENABLED
 
 }  // namespace
 }  // namespace mcs::obs

@@ -14,7 +14,6 @@ TEST(HistogramTest, EmptyIsSafe) {
   EXPECT_DOUBLE_EQ(h.percentile(50), 0.0);
   EXPECT_DOUBLE_EQ(h.min(), 0.0);
   EXPECT_DOUBLE_EQ(h.max(), 0.0);
-  EXPECT_EQ(h.summary(), "n=0");
 }
 
 TEST(HistogramTest, BasicMoments) {
@@ -44,53 +43,207 @@ TEST(HistogramTest, PercentileUnsortedInsertOrder) {
 }
 
 TEST(HistogramTest, ReservoirKeepsMomentsExactUnderCap) {
-  Histogram h{16};  // tiny reservoir
-  for (int i = 0; i < 10000; ++i) h.record(static_cast<double>(i % 100));
-  EXPECT_EQ(h.count(), 10000u);
+  // Over four times the real cap, and whole cycles of 0..99 so the exact
+  // mean is 49.5: past the cap the reservoir replaces samples.
+  constexpr std::size_t kN = 300000;
+  static_assert(kN > 4 * Histogram::kMaxSamples && kN % 100 == 0);
+  Histogram h;
+  for (std::size_t i = 0; i < kN; ++i) h.record(static_cast<double>(i % 100));
+  EXPECT_EQ(h.count(), kN);
   EXPECT_NEAR(h.mean(), 49.5, 1e-9);      // moments are streaming, exact
   EXPECT_DOUBLE_EQ(h.min(), 0.0);
   EXPECT_DOUBLE_EQ(h.max(), 99.0);
-  // Percentiles are approximate but must stay within the value range.
-  EXPECT_GE(h.percentile(50), 0.0);
-  EXPECT_LE(h.percentile(50), 99.0);
+  // Percentiles come from the uniform reservoir: approximate, but within
+  // the value range and near the true median of 49.5.
+  EXPECT_GE(h.percentile(0), 0.0);
+  EXPECT_LE(h.percentile(100), 99.0);
+  EXPECT_NEAR(h.percentile(50), 49.5, 2.0);
 }
 
-TEST(HistogramTest, ClearResets) {
-  Histogram h;
-  h.record(5.0);
-  h.clear();
-  EXPECT_EQ(h.count(), 0u);
-  h.record(7.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 7.0);
-}
-
-TEST(HistogramTest, RecordTimeUsesMillis) {
-  Histogram h;
-  h.record_time(Time::millis(250));
-  EXPECT_DOUBLE_EQ(h.mean(), 250.0);
-}
-
-TEST(CounterTest, AddAndRate) {
+TEST(CounterTest, AddAccumulates) {
   Counter c;
   c.add();
   c.add(9);
   EXPECT_EQ(c.value(), 10u);
-  EXPECT_DOUBLE_EQ(c.rate(Time::seconds(2.0)), 5.0);
-  EXPECT_DOUBLE_EQ(c.rate(Time::zero()), 0.0);
-  c.clear();
-  EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(StatsRegistryTest, NamedAccessAndReport) {
+TEST(GaugeTest, SetTracksHighWaterAndAddIsRelative) {
+  Gauge g;
+  g.set(4.0);
+  g.add(3.0);   // 7: a new high-water
+  g.add(-5.0);  // 2
+  EXPECT_DOUBLE_EQ(g.value(), 2.0);
+  EXPECT_DOUBLE_EQ(g.high_water(), 7.0);
+}
+
+// --- LogHistogram -----------------------------------------------------------
+
+TEST(LogHistogramTest, BucketEdgesArePowersOfTwo) {
+  LogHistogram h;
+  h.record(0.0);   // <= 1 -> bucket 0
+  h.record(1.0);   // exact bound -> bucket 0
+  h.record(1.5);   // (1,2] -> bucket 1
+  h.record(2.0);   // exact power of two lands in its own bucket
+  h.record(3.0);   // (2,4] -> bucket 2
+  h.record(4.0);   // (2,4] -> bucket 2
+  const auto& b = h.buckets();
+  EXPECT_EQ(b[0], 2u);
+  EXPECT_EQ(b[1], 2u);
+  EXPECT_EQ(b[2], 2u);
+  EXPECT_EQ(h.count(), 6u);
+  EXPECT_DOUBLE_EQ(h.sum(), 11.5);
+  EXPECT_DOUBLE_EQ(h.max(), 4.0);
+}
+
+TEST(LogHistogramTest, OutOfRangeValuesSaturateOrClamp) {
+  LogHistogram h;
+  h.record(-5.0);  // negative clamps to 0 -> bucket 0
+  h.record(1e30);  // beyond the top bound saturates into the last bucket
+  EXPECT_EQ(h.buckets()[0], 1u);
+  EXPECT_EQ(h.buckets()[LogHistogram::kBuckets - 1], 1u);
+  EXPECT_EQ(h.count(), 2u);
+}
+
+TEST(LogHistogramTest, PercentileResolvesToBucketUpperBound) {
+  LogHistogram h;
+  for (int i = 0; i < 99; ++i) h.record(100.0);   // bucket (64,128]
+  h.record(10000.0);                              // bucket (8192,16384]
+  EXPECT_DOUBLE_EQ(h.percentile(50), 128.0);
+  EXPECT_DOUBLE_EQ(h.percentile(100), 16384.0);
+  EXPECT_DOUBLE_EQ(LogHistogram{}.percentile(99), 0.0);  // empty
+}
+
+// --- StatsRegistry ----------------------------------------------------------
+
+TEST(StatsRegistryTest, NamedAccessCreatesOnFirstUse) {
   StatsRegistry reg;
   reg.counter("tx").add(3);
   reg.histogram("lat").record(1.5);
   EXPECT_EQ(reg.counter("tx").value(), 3u);
-  const std::string rep = reg.report("node0.");
-  EXPECT_NE(rep.find("node0.tx = 3"), std::string::npos);
-  EXPECT_NE(rep.find("node0.lat"), std::string::npos);
+  EXPECT_EQ(reg.histograms().at("lat").count(), 1u);
   StatsRegistry fresh;
   EXPECT_EQ(fresh.counter("tx").value(), 0u);
+  EXPECT_TRUE(fresh.counters().contains("tx"));
+}
+
+TEST(StatsRegistryTest, RegistrationIsIdempotentAndHandlesAreStable) {
+  StatsRegistry reg;
+  Counter* c1 = &reg.counter("x");
+  Gauge* g1 = &reg.gauge("x");
+  LogHistogram* h1 = &reg.log_histogram("x");
+  reg.counter("a");  // map churn must not move existing nodes
+  reg.counter("z");
+  reg.gauge("a");
+  reg.log_histogram("a");
+  EXPECT_EQ(c1, &reg.counter("x"));
+  EXPECT_EQ(g1, &reg.gauge("x"));
+  EXPECT_EQ(h1, &reg.log_histogram("x"));
+  EXPECT_EQ(reg.counters().size(), 3u);
+}
+
+// The two export shapes, byte for byte. A per-component registry (counters
+// and exact histograms) writes no "gauges" key; a telemetry registry
+// (counters, gauges, log histograms) writes gauges as value/high_water and
+// log histograms as count/sum/max/p50/p95/p99.
+constexpr const char* kComponentJson = R"({
+  "counters": {
+    "drops": 0,
+    "tx_packets": 3
+  },
+  "histograms": {
+    "latency_ms": {
+      "count": 3,
+      "mean": 2.333333333,
+      "stddev": 1.527525232,
+      "min": 1,
+      "max": 4,
+      "p50": 2,
+      "p90": 3.6,
+      "p95": 3.8,
+      "p99": 3.96
+    }
+  }
+})";
+
+constexpr const char* kTelemetryJson = R"({
+  "counters": {
+    "wired.tx_packets": 5
+  },
+  "gauges": {
+    "wired.queued_bytes": {
+      "value": 500,
+      "high_water": 1500
+    }
+  },
+  "histograms": {
+    "workload.latency_us": {
+      "count": 3,
+      "sum": 3200,
+      "max": 3000,
+      "p50": 128,
+      "p95": 4096,
+      "p99": 4096
+    }
+  }
+})";
+
+TEST(StatsRegistryTest, ComponentRegistryJsonShapeIsPinned) {
+  StatsRegistry reg;
+  reg.counter("tx_packets").add(3);
+  reg.counter("drops").add(0);
+  for (double v : {1.0, 2.0, 4.0}) reg.histogram("latency_ms").record(v);
+  EXPECT_EQ(reg.to_json_string(), kComponentJson);
+}
+
+TEST(StatsRegistryTest, TelemetryRegistryJsonShapeIsPinned) {
+  StatsRegistry reg;
+  reg.counter("wired.tx_packets").add(5);
+  reg.gauge("wired.queued_bytes").set(1500.0);
+  reg.gauge("wired.queued_bytes").set(500.0);
+  for (double v : {100.0, 100.0, 3000.0}) {
+    reg.log_histogram("workload.latency_us").record(v);
+  }
+  EXPECT_EQ(reg.to_json_string(), kTelemetryJson);
+}
+
+// Each kind merges by its own rule: counters add; gauge levels add and the
+// high-water is the larger of the two (not the high-water of the summed
+// level); exact histograms keep count/sum/min/max exact; log histograms
+// add bucket by bucket.
+TEST(StatsRegistryTest, MergeFoldsEachKindByItsRule) {
+  StatsRegistry a;
+  StatsRegistry b;
+  a.counter("c").add(3);
+  b.counter("c").add(4);
+  b.counter("only_b").add(1);
+
+  a.gauge("g").set(10.0);  // hwm 10
+  a.gauge("g").set(2.0);
+  b.gauge("g").set(5.0);   // hwm 5
+
+  a.histogram("h").record(1.0);
+  b.histogram("h").record(3.0);
+  b.histogram("h").record(-2.0);
+
+  a.log_histogram("l").record(3.0);     // bucket 2
+  b.log_histogram("l").record(4.0);     // bucket 2
+  b.log_histogram("l").record(1000.0);  // bucket 10
+
+  a.merge(b);
+  EXPECT_EQ(a.counter("c").value(), 7u);
+  EXPECT_EQ(a.counter("only_b").value(), 1u);
+  EXPECT_DOUBLE_EQ(a.gauge("g").value(), 7.0);
+  EXPECT_DOUBLE_EQ(a.gauge("g").high_water(), 10.0);
+  EXPECT_EQ(a.histogram("h").count(), 3u);
+  EXPECT_DOUBLE_EQ(a.histogram("h").sum(), 2.0);
+  EXPECT_DOUBLE_EQ(a.histogram("h").min(), -2.0);
+  EXPECT_DOUBLE_EQ(a.histogram("h").max(), 3.0);
+  const LogHistogram& l = a.log_histogram("l");
+  EXPECT_EQ(l.count(), 3u);
+  EXPECT_EQ(l.buckets()[2], 2u);
+  EXPECT_EQ(l.buckets()[10], 1u);
+  EXPECT_DOUBLE_EQ(l.sum(), 1007.0);
+  EXPECT_DOUBLE_EQ(l.max(), 1000.0);
 }
 
 TEST(CounterHandleTest, UnusedHandleLeavesNoKey) {
@@ -122,7 +275,7 @@ TEST(CounterHandleTest, HandleAndNameReachTheSameCounter) {
 }
 
 // Registries driven by handles and by names are indistinguishable in every
-// export: JSON, text report, and as either side of a merge.
+// export: JSON, and as either side of a merge.
 TEST(CounterHandleTest, HandleAndNameRegistriesExportIdentically) {
   StatsRegistry by_name;
   StatsRegistry by_handle;
@@ -141,7 +294,6 @@ TEST(CounterHandleTest, HandleAndNameRegistriesExportIdentically) {
   by_handle.histogram("lat").record(2.0);
 
   EXPECT_EQ(by_handle.to_json_string(), by_name.to_json_string());
-  EXPECT_EQ(by_handle.report("n."), by_name.report("n."));
 
   StatsRegistry into_name = by_name;
   StatsRegistry into_handle = by_name;

@@ -31,8 +31,7 @@ The last four run over the project call graph (callgraph.py, DESIGN.md §11)
 rather than file by file.
 
 Suppress a finding with `// mcs-analyze: allow(<check>)` on (or directly
-above) the offending line; legacy `// detlint: allow(<rule>)` spellings are
-honored for the rules detlint had.
+above) the offending line.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ SCHED_SINKS = frozenset(
     "after at schedule send transmit notify_handoff".split())
 OUTPUT_SINKS = frozenset(
     "key value begin_object end_object begin_array end_array raw "
-    "to_json record record_time add merge counter histogram set_value "
+    "to_json record add merge counter gauge histogram log_histogram set_value "
     "set_text log trace".split())
 SINK_CALLS = SCHED_SINKS | OUTPUT_SINKS
 

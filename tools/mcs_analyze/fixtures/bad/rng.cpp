@@ -15,4 +15,9 @@ int bad_raw_engine() {
   return static_cast<int>(engine());
 }
 
+int bad_unqualified_and_64_bit() {
+  std::mt19937_64 engine{1};  // finding: rng (64-bit raw engine)
+  return rand() + static_cast<int>(engine());  // finding: rng (unqualified)
+}
+
 }  // namespace fixture

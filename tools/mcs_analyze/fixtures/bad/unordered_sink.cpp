@@ -1,6 +1,7 @@
 // Fixture: iterating an unordered container while writing JSON (directly
-// and through a helper one call deep) — hash order becomes output order.
-// The `unordered-sink` check must flag both loops.
+// and through a helper one call deep) — hash order becomes output order —
+// or while scheduling events, where hash order becomes event order. The
+// `unordered-sink` check must flag all three loops.
 #include <string>
 #include <unordered_map>
 
@@ -11,12 +12,22 @@ struct JsonWriter {
   void value(int) {}
 };
 
+struct Scheduler {
+  void after(int, void (*)()) {}
+};
+
 class Registry {
  public:
   void dump(JsonWriter& w) {
     for (const auto& kv : table_) {  // finding: unordered-sink (direct)
       w.key(kv.first);
       w.value(kv.second);
+    }
+  }
+
+  void reschedule_all(Scheduler& sched) {
+    for (const auto& kv : table_) {  // finding: unordered-sink (scheduling)
+      sched.after(kv.second, nullptr);
     }
   }
 

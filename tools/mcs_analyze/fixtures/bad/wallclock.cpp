@@ -1,6 +1,6 @@
 // Fixture: every statement here reads a wall clock; the `wallclock` check
 // must flag each one. (Comments mentioning system_clock or time() must NOT
-// be flagged — that was detlint's false-positive class.)
+// be flagged — the false-positive class of line-regex linters.)
 #include <chrono>
 #include <ctime>
 
@@ -19,6 +19,11 @@ long bad_now_libc() {
   struct timespec ts;
   clock_gettime(0, &ts);       // finding: wallclock
   return sum + raw + ts.tv_sec;
+}
+
+long bad_now_unqualified() {
+  const long t = time(nullptr);  // finding: wallclock
+  return t + clock();            // finding: wallclock (process CPU clock)
 }
 
 const char* not_findings() {

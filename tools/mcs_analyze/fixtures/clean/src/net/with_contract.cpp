@@ -1,5 +1,5 @@
 // Fixture: a component-layer public mutating method WITH contract coverage,
-// plus a suppressed legacy-style finding. Zero findings expected.
+// plus a suppressed finding. Zero findings expected.
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -20,9 +20,9 @@ class RouteTable {
     interfaces_.push_back(interface_index);
   }
 
-  // Suppressions work, including the legacy detlint rule spelling.
+  // Suppressions work.
   void reschedule_all(Scheduler& sched) {
-    for (int id : pending_) {  // detlint: allow(unordered-sched)
+    for (int id : pending_) {  // mcs-analyze: allow(unordered-sink)
       sched.after(id, 0);
     }
   }

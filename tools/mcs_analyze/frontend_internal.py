@@ -31,8 +31,7 @@ ATTR_MACROS = frozenset(
     "MCS_EXTERNALLY_SERIALIZED MCS_ARENA_STABLE MCS_OWNS_ARENA "
     "alignas noexcept final override".split())
 
-ALLOW_RE = re.compile(
-    r"(?:mcs-analyze|detlint):\s*allow\(([a-zA-Z0-9_,\- ]+)\)")
+ALLOW_RE = re.compile(r"mcs-analyze:\s*allow\(([a-zA-Z0-9_,\- ]+)\)")
 
 
 def build_file_model(path: Path, rel: str, text: str) -> FileModel:

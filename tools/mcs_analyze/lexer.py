@@ -2,11 +2,10 @@
 
 Produces a flat token stream with comments, string/char literals, and
 preprocessor lines classified — so no check can ever match inside a comment
-or a string literal again (the regex false-positive class that killed
-detlint's credibility). This is not a full C++ lexer: it only needs to be
-faithful about token *boundaries* (identifiers, literals, multi-char
-punctuators, raw strings) so the structural indexer above it can match
-braces and read declarations.
+or a string literal (the false-positive class of line-regex linters). This
+is not a full C++ lexer: it only needs to be faithful about token
+*boundaries* (identifiers, literals, multi-char punctuators, raw strings)
+so the structural indexer above it can match braces and read declarations.
 """
 
 from __future__ import annotations

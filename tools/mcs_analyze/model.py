@@ -167,17 +167,4 @@ class Project:
 
     def suppressed(self, fm: FileModel, line: int, check: str) -> bool:
         allowed = fm.suppressions.get(line, ())
-        return "*" in allowed or check in allowed or _alias(check) in allowed
-
-
-# Legacy detlint rule names still honored in allow() comments.
-_ALIASES = {
-    "unordered-sink": "unordered-sched",
-    "wallclock": "wallclock",
-    "rng": "rng",
-    "uninit-pod": "uninit-pod",
-}
-
-
-def _alias(check: str) -> str:
-    return _ALIASES.get(check, check)
+        return "*" in allowed or check in allowed
