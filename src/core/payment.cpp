@@ -13,6 +13,13 @@ using host::query_param;
 using host::db::Value;
 using sim::strf;
 
+namespace {
+
+// Reservations held longer than this are auto-released (coordinator died).
+constexpr sim::Time kReservationTimeout = sim::Time::seconds(30.0);
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // PaymentProcessor
 // ---------------------------------------------------------------------------
@@ -84,7 +91,7 @@ HttpResponse PaymentProcessor::handle_prepare(const HttpRequest& req) {
   Reservation res;
   res.account = account;
   res.amount = amount;
-  res.expiry = sim_.after(reservation_timeout_, [this, txn] {
+  res.expiry = sim_.after(kReservationTimeout, [this, txn] {
     stats_.counter(c_reservations_expired_).add();
     release(txn);
   });

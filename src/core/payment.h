@@ -41,9 +41,6 @@ class PaymentProcessor {
   sim::StatsRegistry& stats() { return stats_; }
   const sim::StatsRegistry& stats() const { return stats_; }
 
-  // Reservations held longer than this are auto-released (coordinator died).
-  void set_reservation_timeout(sim::Time t) { reservation_timeout_ = t; }
-
  private:
   struct Reservation {
     std::string account;
@@ -58,7 +55,6 @@ class PaymentProcessor {
 
   host::db::Database& db_;
   sim::Simulator& sim_;
-  sim::Time reservation_timeout_ = sim::Time::seconds(30.0);
   std::unordered_map<std::string, Reservation> reservations_;
   std::unordered_set<std::string> completed_;  // committed or aborted txns
   sim::StatsRegistry stats_;

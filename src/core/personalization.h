@@ -26,7 +26,6 @@ class PersonalizationEngine {
   void upsert_profile(UserProfile profile);
   const UserProfile* profile(const std::string& user_id) const;
   bool forget(const std::string& user_id);
-  std::size_t profile_count() const { return profiles_.size(); }
 
   // Rank catalog rows for a user: affordable items first, ordered by how
   // early the item's category appears in the user's interests, then by

@@ -194,7 +194,7 @@ class DbServer {
   // which is exactly what an SLO investigation needs to see.
   sim::Counter* m_requests_ = obs::metric_counter("host.db.requests");
   sim::Counter* m_fsyncs_ = obs::metric_counter("host.db.fsyncs");
-  sim::LogHistogram* m_wal_flush_us_ =
+  sim::Histogram* m_wal_flush_us_ =
       obs::metric_histogram("host.db.wal_flush_us");
 };
 

@@ -102,7 +102,7 @@ class HttpServer {
   sim::Counter* m_requests_ = obs::metric_counter("host.http.requests");
   sim::Counter* m_app_responses_ =
       obs::metric_counter("application.responses");
-  sim::LogHistogram* m_app_us_ =
+  sim::Histogram* m_app_us_ =
       obs::metric_histogram("application.latency_us");
 };
 

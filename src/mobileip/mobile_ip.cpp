@@ -202,6 +202,10 @@ ForeignAgent::ForeignAgent(net::Node& router, transport::UdpStack& udp,
 }
 
 void ForeignAgent::visitor_departed(net::IpAddress home_addr) {
+  MCS_ASSERT(!home_addr.is_unspecified(),
+             "a departure names the visitor's home address");
+  MCS_ASSERT(home_addr != router_.addr(),
+             "the foreign agent's own address is never a visitor");
   if (visitors_.erase(home_addr) > 0) {
     router_.remove_route(home_addr);
     stats_.counter(c_visitor_departures_).add();
@@ -364,6 +368,8 @@ void MobileIpClient::attach(net::IpAddress agent_addr, net::IpAddress next_hop) 
 }
 
 void MobileIpClient::detach() {
+  MCS_ASSERT(!current_agent_.is_unspecified(),
+             "detach() without an attach(): there is no coverage to lose");
   cancel_timers();
   current_agent_ = net::kUnspecified;
   registered_ = false;
@@ -410,8 +416,8 @@ void MobileIpClient::on_datagram(const std::string& payload,
     retry_timer_ = sim::kInvalidEventId;
   }
   registered_ = rep->code == 0;
-  last_latency_ = mobile_.sim().now() - request_sent_at_;
-  stats_.histogram("registration_latency_ms").record(last_latency_.to_millis());
+  const sim::Time latency = mobile_.sim().now() - request_sent_at_;
+  stats_.histogram("registration_latency_ms").record(latency.to_millis());
   if (registered_ && !at_home_) {
     // Renew well before expiry.
     renew_timer_ = mobile_.sim().after(cfg_.lifetime / 3.0, [this] {
@@ -420,7 +426,7 @@ void MobileIpClient::on_datagram(const std::string& payload,
       send_registration();
     });
   }
-  if (on_registered) on_registered(registered_, last_latency_);
+  if (on_registered) on_registered(registered_, latency);
 }
 
 }  // namespace mcs::mobileip

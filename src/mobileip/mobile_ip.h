@@ -214,7 +214,6 @@ class MobileIpClient {
   std::function<void(bool accepted, sim::Time latency)> on_registered;
 
   bool registered() const { return registered_; }
-  sim::Time last_registration_latency() const { return last_latency_; }
   sim::StatsRegistry& stats() { return stats_; }
 
  private:
@@ -232,7 +231,6 @@ class MobileIpClient {
   std::uint64_t seq_ = 0;
   int retries_ = 0;
   sim::Time request_sent_at_;
-  sim::Time last_latency_;
   sim::EventId retry_timer_ = sim::kInvalidEventId;
   sim::EventId renew_timer_ = sim::kInvalidEventId;
   sim::StatsRegistry stats_;

@@ -33,8 +33,6 @@ class Link : public Channel {
   const LinkConfig& config() const { return cfg_; }
   sim::StatsRegistry& stats() { return stats_; }
   const sim::StatsRegistry& stats() const { return stats_; }
-  Interface* endpoint_a() const { return a_; }
-  Interface* endpoint_b() const { return b_; }
   Interface* peer_of(const Interface* i) const { return i == a_ ? b_ : a_; }
 
  private:

@@ -40,8 +40,8 @@ void FlightRecorder::add_registry(const sim::StatsRegistry& reg) {
     add_series(name, [p] { return p->value(); });
     add_series(name + ".hwm", [p] { return p->high_water(); });
   }
-  for (const auto& [name, h] : reg.log_histograms()) {
-    const sim::LogHistogram* p = &h;
+  for (const auto& [name, h] : reg.histograms()) {
+    const sim::Histogram* p = &h;
     add_series(name + ".count",
                [p] { return static_cast<double>(p->count()); });
     add_series(name + ".sum", [p] { return p->sum(); });

@@ -60,7 +60,7 @@ class FlightRecorder {
 
   // Register every metric in `reg` as of this call: counters sample their
   // cumulative value, gauges their level plus a "<name>.hwm" high-water
-  // series, log histograms "<name>.count" and "<name>.sum" — enough to
+  // series, histograms "<name>.count" and "<name>.sum" — enough to
   // reconstruct rates and running means per tick. Metrics registered with
   // `reg` after this call are not picked up; attach the recorder once the
   // system under observation is built.

@@ -27,8 +27,8 @@ sim::Gauge* metric_gauge(const char* name) {
   return t_metrics != nullptr ? &t_metrics->gauge(name) : nullptr;
 }
 
-sim::LogHistogram* metric_histogram(const char* name) {
-  return t_metrics != nullptr ? &t_metrics->log_histogram(name) : nullptr;
+sim::Histogram* metric_histogram(const char* name) {
+  return t_metrics != nullptr ? &t_metrics->histogram(name) : nullptr;
 }
 
 }  // namespace mcs::obs

@@ -5,9 +5,9 @@
 //
 // Where obs/trace.h answers "where did *this request* spend its time", this
 // layer answers "what is the *system* doing over time": components register
-// named counters / gauges / log-bucket histograms once (at construction,
-// while a sim::StatsRegistry is ambient) and update them on the hot path
-// through a cached pointer. An update is one predictable null test plus a
+// named counters / gauges / histograms once (at construction, while a
+// sim::StatsRegistry is ambient) and update them on the hot path through a
+// cached pointer. An update is one predictable null test plus a
 // field add — no map lookup, no string, no allocation — so telemetry can
 // stay on in every run (bench/telemetry + tools/check_telemetry_bench.py
 // pin the measured overhead of the full stack under a few percent).
@@ -60,7 +60,7 @@ class MetricsInstall {
 // "middleware.requests".
 sim::Counter* metric_counter(const char* name);
 sim::Gauge* metric_gauge(const char* name);
-sim::LogHistogram* metric_histogram(const char* name);
+sim::Histogram* metric_histogram(const char* name);
 
 // Hot-path update helpers: one null test, nothing else.
 inline void metric_add(sim::Counter* c, std::uint64_t n = 1) {
@@ -72,7 +72,7 @@ inline void metric_set(sim::Gauge* g, double v) {
 inline void metric_adjust(sim::Gauge* g, double d) {
   if (g != nullptr) g->add(d);
 }
-inline void metric_record(sim::LogHistogram* h, double v) {
+inline void metric_record(sim::Histogram* h, double v) {
   if (h != nullptr) h->record(v);
 }
 

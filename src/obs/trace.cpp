@@ -32,12 +32,6 @@ constexpr const char* kBucketNames[kBucketCount] = {
     "application", "station", "middleware", "wireless", "wired", "host",
 };
 
-// Cumulative (Prometheus-style) log buckets for root latency, microseconds.
-constexpr std::uint64_t kRootLatencyBoundsUs[] = {
-    1,       4,       16,      64,       256,      1024,     4096,
-    16384,   65536,   262144,  1048576,  4194304,  16777216, 67108864,
-};
-
 }  // namespace
 
 const char* component_name(Component c) {
@@ -326,7 +320,7 @@ void Tracer::export_stats(sim::StatsRegistry& reg) const {
   sim::Histogram& self_unattributed = reg.histogram("self_us_unattributed");
   sim::Histogram& root_ms = reg.histogram("root_latency_ms");
 
-  for_each_self_time([&](const Span& s, double dur, double self_us) {
+  for_each_self_time([&](const Span& s, double /*dur*/, double self_us) {
     const int bucket = kBucketOf[static_cast<std::size_t>(s.component)];
     if (bucket < 0) {
       self_unattributed.record(self_us);
@@ -334,19 +328,7 @@ void Tracer::export_stats(sim::StatsRegistry& reg) const {
       self[static_cast<std::size_t>(bucket)]->record(self_us);
       reg.counter(sim::strf("spans_%s", kBucketNames[bucket])).add();
     }
-    if (s.parent == 0) {
-      root_ms.record((s.end - s.start).to_millis());
-      // Cumulative log buckets: one monotonically-mergeable counter per
-      // power-of-four bound.
-      for (const std::uint64_t bound : kRootLatencyBoundsUs) {
-        if (dur <= static_cast<double>(bound)) {
-          reg.counter(sim::strf("root_us_le_%08llu",
-                                static_cast<unsigned long long>(bound)))
-              .add();
-        }
-      }
-      reg.counter("root_us_le_inf").add();
-    }
+    if (s.parent == 0) root_ms.record((s.end - s.start).to_millis());
   });
 }
 

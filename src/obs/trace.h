@@ -163,9 +163,9 @@ class Tracer {
   std::string chrome_trace_json(bool pretty = false,
                                 const FlightRecorder* counters = nullptr) const;
 
-  // Fold counts, per-bucket self-time histograms and a log-bucketed (power
-  // of four) root-latency distribution into `reg` under "trace"-less plain
-  // keys; callers namespace via StatsSnapshot::add.
+  // Fold counts, per-bucket self-time histograms and the root-latency
+  // histogram into `reg` under "trace"-less plain keys; callers namespace
+  // via StatsSnapshot::add.
   void export_stats(sim::StatsRegistry& reg) const;
 
   void clear();

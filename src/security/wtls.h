@@ -66,7 +66,6 @@ class SecureChannel {
   std::optional<std::string> open(std::string_view sealed);
 
   static constexpr std::size_t kOverheadBytes = 12;  // seq(4) + mac(8)
-  std::uint32_t messages_sealed() const { return send_seq_; }
   std::uint64_t replays_rejected() const { return replays_; }
   std::uint64_t macs_rejected() const { return bad_macs_; }
 

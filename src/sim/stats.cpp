@@ -1,34 +1,56 @@
 #include "sim/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <iterator>
 
 #include "sim/json.h"
 
 namespace mcs::sim {
 
-Histogram::Histogram() { samples_.reserve(1024); }
+namespace {
+
+constexpr std::size_t kSubBuckets = std::size_t{1} << Histogram::kSubBits;
+
+// 2^e for an exponent in the normal range, as a constant expression.
+constexpr double pow2(int e) {
+  return std::bit_cast<double>(static_cast<std::uint64_t>(e + 1023) << 52);
+}
+
+// Midpoint of a log-linear bucket; 0 for underflow and +inf for overflow,
+// which the caller's clamp turns into min and max.
+double representative(std::size_t bucket) {
+  if (bucket == 0) return 0.0;
+  if (bucket == Histogram::kBuckets - 1) {
+    return std::numeric_limits<double>::infinity();
+  }
+  const std::size_t j = bucket - 1;
+  const int exp = Histogram::kMinExp + static_cast<int>(j / kSubBuckets);
+  const double sub = static_cast<double>(j % kSubBuckets) + 0.5;
+  return std::ldexp(1.0 + sub / static_cast<double>(kSubBuckets), exp);
+}
+
+}  // namespace
+
+std::size_t Histogram::bucket_of(double value) {
+  if (!(value >= pow2(kMinExp))) return 0;  // also catches NaN
+  if (value >= pow2(kMaxExp)) return kBuckets - 1;
+  // A positive normal double: biased exponent, then the mantissa's top bits.
+  const auto bits = std::bit_cast<std::uint64_t>(value);
+  const int exp = static_cast<int>(bits >> 52) - 1023;
+  const std::size_t sub = (bits >> (52 - kSubBits)) & (kSubBuckets - 1);
+  return 1 + static_cast<std::size_t>(exp - kMinExp) * kSubBuckets + sub;
+}
 
 void Histogram::record(double value) {
+  if (std::isnan(value)) return;
+  ++buckets_[bucket_of(value)];
   ++count_;
   sum_ += value;
   sum_sq_ += value * value;
   min_ = std::min(min_, value);
   max_ = std::max(max_, value);
-  if (samples_.size() < kMaxSamples) {
-    samples_.push_back(value);
-    sorted_ = false;
-  } else {
-    // Uniform reservoir: replace a random slot with probability k/count.
-    reservoir_state_ ^= reservoir_state_ << 13;
-    reservoir_state_ ^= reservoir_state_ >> 7;
-    reservoir_state_ ^= reservoir_state_ << 17;
-    const std::uint64_t slot = reservoir_state_ % count_;
-    if (slot < samples_.size()) {
-      samples_[slot] = value;
-      sorted_ = false;
-    }
-  }
 }
 
 double Histogram::mean() const {
@@ -42,34 +64,45 @@ double Histogram::stddev() const {
   return var > 0.0 ? std::sqrt(var) : 0.0;
 }
 
-double Histogram::percentile(double p) const {
-  if (samples_.empty()) return 0.0;
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
+void Histogram::quantiles(const double* ps, double* out,
+                          std::size_t n) const {
+  if (count_ == 0) {
+    std::fill(out, out + n, 0.0);
+    return;
   }
-  const double rank = (p / 100.0) * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+  const double total = static_cast<double>(count_);
+  std::size_t bucket = bucket_of(min_);  // nothing lies below min's bucket
+  std::uint64_t below = 0;               // samples in buckets before it
+  for (std::size_t q = 0; q < n; ++q) {
+    // p * n first: exact for whole p, so a whole rank is not rounded up.
+    const double p = std::clamp(ps[q], 0.0, 100.0);
+    const auto rank = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(std::ceil(p * total / 100.0)));
+    while (below + buckets_[bucket] < rank) below += buckets_[bucket++];
+    out[q] = std::clamp(representative(bucket), min_, max_);
+  }
+}
+
+double Histogram::percentile(double p) const {
+  double q = 0.0;
+  quantiles(&p, &q, 1);
+  return q;
 }
 
 void Histogram::merge(const Histogram& other) {
   if (other.count_ == 0) return;
+  for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
   count_ += other.count_;
   sum_ += other.sum_;
   sum_sq_ += other.sum_sq_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-  for (const double v : other.samples_) {
-    if (samples_.size() >= kMaxSamples) break;
-    samples_.push_back(v);
-  }
-  sorted_ = false;
 }
 
 void Histogram::to_json(JsonWriter& w) const {
+  static constexpr double kPs[] = {50.0, 90.0, 95.0, 99.0};
+  double q[std::size(kPs)];
+  quantiles(kPs, q, std::size(kPs));
   w.begin_object();
   w.key("count").value(count_);
   w.key("mean").value(mean());
@@ -78,67 +111,11 @@ void Histogram::to_json(JsonWriter& w) const {
   w.key("max").value(max());
   // Fixed key strings: the old strf("p%.0f") formatted four temporary
   // strings per histogram, which dominated snapshot-export allocations.
-  w.key("p50").value(percentile(50.0));
-  w.key("p90").value(percentile(90.0));
-  w.key("p95").value(percentile(95.0));
-  w.key("p99").value(percentile(99.0));
-  w.end_object();
-}
-
-namespace {
-
-// Log2 bucket index for a non-negative value: bucket 0 holds v <= 1,
-// bucket i holds (2^(i-1), 2^i], everything past the top bound saturates
-// into the last bucket. 2^47 us is ~4.5 years, far beyond any sim horizon.
-std::size_t log_bucket_index(double v) {
-  if (!(v > 1.0)) return 0;  // also catches NaN
-  const int e = std::ilogb(v);
-  // v in (2^(i-1), 2^i] <=> ilogb in {i-1} unless v is an exact power of two.
-  std::size_t i = static_cast<std::size_t>(e);
-  if (std::ldexp(1.0, e) != v) ++i;
-  return std::min(i, LogHistogram::kBuckets - 1);
-}
-
-}  // namespace
-
-void LogHistogram::record(double v) {
-  if (std::isnan(v)) return;
-  if (v < 0.0) v = 0.0;
-  ++buckets_[log_bucket_index(v)];
-  ++count_;
-  sum_ += v;
-  if (v > max_) max_ = v;
-}
-
-double LogHistogram::percentile(double p) const {
-  if (count_ == 0) return 0.0;
-  p = std::clamp(p, 0.0, 100.0);
-  const double target = p / 100.0 * static_cast<double>(count_);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    seen += buckets_[i];
-    if (static_cast<double>(seen) >= target) {
-      return std::ldexp(1.0, static_cast<int>(i));
-    }
-  }
-  return std::ldexp(1.0, static_cast<int>(kBuckets - 1));
-}
-
-void LogHistogram::merge(const LogHistogram& other) {
-  for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
-  count_ += other.count_;
-  sum_ += other.sum_;
-  if (other.max_ > max_) max_ = other.max_;
-}
-
-void LogHistogram::to_json(JsonWriter& w) const {
-  w.begin_object();
-  w.key("count").value(count_);
-  w.key("sum").value(sum_);
-  w.key("max").value(max());
-  w.key("p50").value(percentile(50));
-  w.key("p95").value(percentile(95));
-  w.key("p99").value(percentile(99));
+  w.key("p50").value(q[0]);
+  w.key("p90").value(q[1]);
+  w.key("p95").value(q[2]);
+  w.key("p99").value(q[3]);
+  w.key("rel_error").value(kRelError);
   w.end_object();
 }
 
@@ -149,9 +126,6 @@ void StatsRegistry::merge(const StatsRegistry& other) {
   for (const auto& [name, g] : other.gauges_) gauges_[name].merge(g);
   for (const auto& [name, h] : other.histograms_) {
     histograms_[name].merge(h);
-  }
-  for (const auto& [name, h] : other.log_histograms_) {
-    log_histograms_[name].merge(h);
   }
 }
 
@@ -176,10 +150,6 @@ void StatsRegistry::to_json(JsonWriter& w) const {
   }
   w.key("histograms").begin_object();
   for (const auto& [name, h] : histograms_) {
-    w.key(name);
-    h.to_json(w);
-  }
-  for (const auto& [name, h] : log_histograms_) {
     w.key(name);
     h.to_json(w);
   }

@@ -6,7 +6,6 @@
 #include <limits>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "sim/thread_annotations.h"
 
@@ -14,16 +13,33 @@ namespace mcs::sim {
 
 class JsonWriter;
 
-// Streaming summary of scalar samples: count/mean/min/max/stddev plus exact
-// percentiles from retained samples (capped via uniform reservoir sampling
-// so memory stays bounded on long runs).
+// The one histogram. Count, sum, sum of squares, min and max are exact;
+// quantiles come from an HDR-style log-linear bucket array
+// (http://hdrhistogram.org/). A value in [2^kMinExp, 2^kMaxExp) lands in the
+// bucket named by its binary exponent and the top kSubBits bits of its
+// mantissa, so each power of two splits into 2^kSubBits equal sub-buckets.
+// Smaller values (zero and negatives too) share one underflow bucket and
+// larger ones one overflow bucket; NaN is not recorded. The buckets are one
+// fixed inline array, so record() never allocates, and merge() adds them
+// bucket by bucket, which is exact in any order.
+//
+// A quantile takes the nearest rank ceil(p*n/100) (at least 1) and reports
+// the midpoint of the bucket holding that rank, clamped to [min, max]. So
+// quantiles never decrease with p, never leave the recorded range, and lie
+// within kRelError of the exact order statistic for values inside the
+// bucketed range. The underflow bucket reports 0 and the overflow bucket
+// reports max, both clamped.
 class Histogram {
  public:
-  // Retained samples; past this many, percentiles come from a uniform
-  // reservoir while count/sum/min/max stay exact.
-  static constexpr std::size_t kMaxSamples = 65536;
-
-  Histogram();
+  static constexpr int kSubBits = 5;  // 32 sub-buckets per power of two
+  static constexpr int kMinExp = -16;
+  static constexpr int kMaxExp = 40;
+  // Underflow, the log-linear buckets, overflow.
+  static constexpr std::size_t kBuckets =
+      (static_cast<std::size_t>(kMaxExp - kMinExp) << kSubBits) + 2;
+  // Worst-case |midpoint - v| / v over the values v of one bucket: half a
+  // sub-bucket over the bottom of its power of two, 2^-(kSubBits + 1).
+  static constexpr double kRelError = 1.0 / (2 << kSubBits);
 
   void record(double value);
 
@@ -33,68 +49,40 @@ class Histogram {
   double max() const { return count_ == 0 ? 0.0 : max_; }
   double stddev() const;
   double sum() const { return sum_; }
-  // p in [0,100]; exact over retained samples.
+  // Nearest-rank quantile, p in [0,100]; 0 when empty.
   double percentile(double p) const;
 
-  // Fold another histogram into this one. Count/sum/min/max stay exact;
-  // retained samples are concatenated up to the cap, so merged percentiles
-  // are approximate once either side overflowed its reservoir.
-  //
-  // Merge order is part of the determinism contract: sums are folded in
-  // cell order after the sweep's threads have joined, never concurrently
-  // (float addition does not commute bit-for-bit across orders).
+  // The bucket `value` lands in: 0 is underflow, kBuckets - 1 overflow.
+  static std::size_t bucket_of(double value);
+  const std::array<std::uint64_t, kBuckets>& buckets() const {
+    return buckets_;
+  }
+
+  // Fold another histogram into this one: buckets, count, min and max are
+  // exact in any order. Merge order is still part of the determinism
+  // contract: sums are folded in cell order after the sweep's threads have
+  // joined, never concurrently (float addition does not commute
+  // bit-for-bit across orders).
   void merge(const Histogram& other) MCS_EXTERNALLY_SERIALIZED;
 
-  // {"count":..,"mean":..,"stddev":..,"min":..,"max":..,"p50":..,...}
+  // {"count":..,"mean":..,"stddev":..,"min":..,"max":..,"p50":..,"p90":..,
+  //  "p95":..,"p99":..,"rel_error":..}
   void to_json(JsonWriter& w) const;
 
  private:
+  // Quantiles of the ascending percentages ps[0..n) in one pass.
+  void quantiles(const double* ps, double* out, std::size_t n) const;
+
+  std::array<std::uint64_t, kBuckets> buckets_{};
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
   double sum_sq_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
-  // xorshift state for reservoir replacement; independent of model Rngs so
-  // stats never perturb simulated behaviour.
-  std::uint64_t reservoir_state_ = 0x853c49e6748fea9bull;
 };
 
-// Log-bucketed latency/size histogram: power-of-two bucket bounds, fixed
-// array storage, so record() is a shift + increment (zero-alloc, mergeable
-// by bucket-wise addition). Bucket i counts samples in (2^(i-1), 2^i]
-// (bucket 0: <= 1). Values are whatever unit the caller picked — by
-// convention microseconds for latencies, bytes for sizes.
-class LogHistogram {
- public:
-  static constexpr std::size_t kBuckets = 48;
-
-  void record(double v);
-
-  std::uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double max() const { return count_ == 0 ? 0.0 : max_; }
-  // Upper bucket bound containing the p-th percentile (p in [0,100]);
-  // exact to within the 2x bucket resolution.
-  double percentile(double p) const;
-  const std::array<std::uint64_t, kBuckets>& buckets() const {
-    return buckets_;
-  }
-
-  // Bucket-wise fold; caller-serialized in deterministic (cell) order like
-  // Histogram::merge.
-  void merge(const LogHistogram& other) MCS_EXTERNALLY_SERIALIZED;
-
-  // {"count":..,"sum":..,"max":..,"p50":..,"p95":..,"p99":..}
-  void to_json(JsonWriter& w) const;
-
- private:
-  std::array<std::uint64_t, kBuckets> buckets_{};
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double max_ = 0.0;
-};
+// Inline storage stays small enough to copy and to keep on the stack.
+static_assert(sizeof(Histogram) <= 16 * 1024);
 
 // Monotonic event/byte counter.
 class Counter {
@@ -157,9 +145,9 @@ class CounterHandle {
   Counter* counter_ = nullptr;
 };
 
-// Named stats: one registry per component (counters and exact histograms),
-// or one per run for the ambient telemetry of obs/metrics.h (counters,
-// gauges and log histograms). Map nodes never move, so a reference handed
+// Named stats: one registry per component (counters and histograms), or
+// one per run for the ambient telemetry of obs/metrics.h (counters, gauges
+// and histograms). Map nodes never move, so a reference handed
 // out stays valid for the registry's lifetime. Not thread-safe: one
 // registry per thread, matching the simulator-per-thread confinement of
 // parallel sweeps.
@@ -174,30 +162,22 @@ class StatsRegistry {
   }
   Gauge& gauge(const std::string& name) { return gauges_[name]; }
   Histogram& histogram(const std::string& name) { return histograms_[name]; }
-  LogHistogram& log_histogram(const std::string& name) {
-    return log_histograms_[name];
-  }
 
   const std::map<std::string, Counter>& counters() const { return counters_; }
   const std::map<std::string, Gauge>& gauges() const { return gauges_; }
   const std::map<std::string, Histogram>& histograms() const {
     return histograms_;
   }
-  const std::map<std::string, LogHistogram>& log_histograms() const {
-    return log_histograms_;
-  }
 
   // Fold another registry into this one: counters add, gauges merge (see
-  // Gauge::merge), histograms of both kinds merge. Used to aggregate
-  // per-entity registries (e.g. every mobile's browser) into one
-  // component-level view, and sweep cells into one run. Caller-serialized,
-  // in deterministic (cell) order, after worker threads join — see
-  // Histogram::merge.
+  // Gauge::merge), histograms merge. Used to aggregate per-entity registries
+  // (e.g. every mobile's browser) into one component-level view, and sweep
+  // cells into one run. Caller-serialized, in deterministic (cell) order,
+  // after worker threads join — see Histogram::merge.
   void merge(const StatsRegistry& other) MCS_EXTERNALLY_SERIALIZED;
 
   // {"counters":{...},"gauges":{...},"histograms":{...}}; keys in sorted
-  // (map) order within each kind so serialization is deterministic. Exact
-  // histograms precede log histograms in "histograms".
+  // (map) order within each kind so serialization is deterministic.
   void to_json(JsonWriter& w) const;
   std::string to_json_string() const;
 
@@ -205,7 +185,6 @@ class StatsRegistry {
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
-  std::map<std::string, LogHistogram> log_histograms_;
 };
 
 // System-wide aggregation helper: named point-in-time copies of component

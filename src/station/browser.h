@@ -132,7 +132,7 @@ class MicroBrowser {
   // registry is ambient, so each update is one predictable branch.
   sim::Counter* m_browses_ = obs::metric_counter("station.browse");
   sim::Counter* m_cache_hits_ = obs::metric_counter("station.cache_hits");
-  sim::LogHistogram* m_page_us_ = obs::metric_histogram("station.page_us");
+  sim::Histogram* m_page_us_ = obs::metric_histogram("station.page_us");
 };
 
 }  // namespace mcs::station

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include "mobileip/mobile_ip.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "test_util.h"
 #include "transport/tcp.h"
+#include "transport/udp.h"
 
 namespace mcs {
 namespace {
@@ -63,6 +66,38 @@ TEST(ContractDeathTest, ValidTcpTransitionsPass) {
       TcpSocket::State::kCloseWait, TcpSocket::State::kLastAck));
   EXPECT_FALSE(transport::tcp_state_transition_valid(
       TcpSocket::State::kLastAck, TcpSocket::State::kEstablished));
+}
+
+TEST(ContractDeathTest, TcpConnectWithoutConcreteRemoteAborts) {
+  sim::Simulator sim;
+  testutil::ThreeNodeNet topo{sim};
+  transport::TcpStack tcp{*topo.client};
+  EXPECT_DEATH(tcp.connect(net::Endpoint{net::kUnspecified, 80}),
+               "mcs contract violation");
+  EXPECT_DEATH(tcp.connect(net::Endpoint{topo.server->addr(), 0}),
+               "mcs contract violation");
+}
+
+TEST(ContractDeathTest, MobileIpDetachWithoutAttachAborts) {
+  sim::Simulator sim;
+  testutil::ThreeNodeNet topo{sim};
+  transport::UdpStack udp{*topo.client};
+  mobileip::MobileClientConfig cfg;
+  cfg.home_agent = topo.router->addr();
+  mobileip::MobileIpClient client{*topo.client, udp, cfg};
+  EXPECT_DEATH(client.detach(), "mcs contract violation");
+}
+
+TEST(ContractDeathTest, ForeignAgentDepartureOfNoAddressAborts) {
+  sim::Simulator sim;
+  testutil::ThreeNodeNet topo{sim};
+  transport::UdpStack udp{*topo.router};
+  mobileip::ForeignAgent fa{*topo.router, udp, topo.router->interface(0)};
+  EXPECT_DEATH(fa.visitor_departed(net::kUnspecified),
+               "mcs contract violation");
+  EXPECT_DEATH(fa.visitor_departed(topo.router->addr()),
+               "mcs contract violation");
+  fa.visitor_departed(topo.client->addr());  // not a visitor: a no-op
 }
 
 }  // namespace

@@ -87,7 +87,7 @@ TEST(FlightRecorderTest, AddRegistryExpandsGaugeAndHistogramSeries) {
   sim::StatsRegistry reg;
   reg.counter("c");
   reg.gauge("g");
-  reg.log_histogram("h");
+  reg.histogram("h");
   obs::FlightRecorder rec{small_ring(4)};
   rec.add_registry(reg);
   // counter -> value; gauge -> value + .hwm; histogram -> .count + .sum
@@ -137,7 +137,7 @@ CellOut run_cell(std::size_t cell) {
   sim::Simulator sim;
   sim::Counter* work = &out.reg->counter("cell.work");
   sim::Gauge* depth = &out.reg->gauge("cell.depth");
-  sim::LogHistogram* lat = &out.reg->log_histogram("cell.latency_us");
+  sim::Histogram* lat = &out.reg->histogram("cell.latency_us");
   out.rec->add_registry(*out.reg);
 
   for (int k = 1; k <= 10; ++k) {

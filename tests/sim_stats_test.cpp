@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "sim/json.h"
+#include "sim/random.h"
 
 namespace mcs::sim {
 namespace {
@@ -27,37 +34,184 @@ TEST(HistogramTest, BasicMoments) {
   EXPECT_DOUBLE_EQ(h.sum(), 15.0);
 }
 
+// Nearest rank: the ceil(p*n/100)-th smallest value's bucket midpoint,
+// clamped to [min, max]. Over 1..100 the ranks are 1, 7, 50, 95 and 100.
 TEST(HistogramTest, PercentilesExactOnSmallSets) {
   Histogram h;
   for (int i = 1; i <= 100; ++i) h.record(static_cast<double>(i));
-  EXPECT_NEAR(h.percentile(0), 1.0, 1e-9);
-  EXPECT_NEAR(h.percentile(50), 50.5, 1e-9);
-  EXPECT_NEAR(h.percentile(95), 95.05, 1e-6);
-  EXPECT_NEAR(h.percentile(100), 100.0, 1e-9);
+  EXPECT_DOUBLE_EQ(h.percentile(0), 1.015625);  // [1, 1+1/32)
+  EXPECT_DOUBLE_EQ(h.percentile(7), 7.0625);    // 0.07*100 rounds up past 7
+  EXPECT_DOUBLE_EQ(h.percentile(50), 50.5);     // [50, 51)
+  EXPECT_DOUBLE_EQ(h.percentile(95), 95.0);     // [94, 96)
+  EXPECT_DOUBLE_EQ(h.percentile(100), 100.0);   // [100, 102) clamped to max
 }
 
 TEST(HistogramTest, PercentileUnsortedInsertOrder) {
   Histogram h;
   for (double v : {9.0, 1.0, 5.0, 3.0, 7.0}) h.record(v);
-  EXPECT_DOUBLE_EQ(h.percentile(50), 5.0);
+  EXPECT_DOUBLE_EQ(h.percentile(50), 5.0625);  // rank 3: 5 in [5, 5.125)
+  EXPECT_NEAR(h.percentile(50), 5.0, 5.0 * Histogram::kRelError);
 }
 
-TEST(HistogramTest, ReservoirKeepsMomentsExactUnderCap) {
-  // Over four times the real cap, and whole cycles of 0..99 so the exact
-  // mean is 49.5: past the cap the reservoir replaces samples.
-  constexpr std::size_t kN = 300000;
-  static_assert(kN > 4 * Histogram::kMaxSamples && kN % 100 == 0);
+// Each power of two holds 2^kSubBits equal buckets; the underflow and
+// overflow buckets take everything outside [2^kMinExp, 2^kMaxExp).
+TEST(HistogramTest, BucketsAreLogLinear) {
+  constexpr std::size_t kSub = std::size_t{1} << Histogram::kSubBits;
+  const std::size_t one = Histogram::bucket_of(1.0);
+  EXPECT_EQ(Histogram::bucket_of(1.0 + 1.0 / kSub), one + 1);
+  EXPECT_EQ(Histogram::bucket_of(1.0 + 0.99 / kSub), one);
+  EXPECT_EQ(Histogram::bucket_of(2.0), one + kSub);
+  EXPECT_EQ(Histogram::bucket_of(std::ldexp(1.0, Histogram::kMinExp)), 1u);
+  EXPECT_EQ(Histogram::bucket_of(std::ldexp(1.0, Histogram::kMaxExp)),
+            Histogram::kBuckets - 1);
+  EXPECT_EQ(
+      Histogram::bucket_of(std::nextafter(
+          std::ldexp(1.0, Histogram::kMaxExp), 0.0)),
+      Histogram::kBuckets - 2);
+  EXPECT_DOUBLE_EQ(Histogram::kRelError, 1.0 / 64.0);
+}
+
+// Log-normal values on a 1/64 grid below 2^14: every partial sum of them
+// and of their squares is exact, so the moments, like the buckets, cannot
+// depend on merge order.
+std::vector<double> lognormal_stream(std::uint64_t seed, std::size_t n,
+                                     double mu, double sigma) {
+  Rng rng{seed};
+  std::vector<double> out;
+  out.reserve(n);
+  while (out.size() < n) {
+    const double v = std::round(std::exp(rng.normal(mu, sigma)) * 64.0) / 64.0;
+    if (v > 0.0 && v < 16384.0) out.push_back(v);
+  }
+  return out;
+}
+
+TEST(HistogramTest, MergeInAnyOrderEqualsOneStream) {
+  constexpr std::size_t kParts = 7;
+  const std::vector<double> values = lognormal_stream(11, 4096, 4.0, 1.5);
+  Histogram whole;
+  std::vector<Histogram> parts(kParts);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    whole.record(values[i]);
+    parts[(i * i + 3 * i) % kParts].record(values[i]);
+  }
+  Histogram forward;  // ((p0 + p1) + p2) + ...
+  for (const Histogram& p : parts) forward.merge(p);
+  Histogram paired;   // p6 + (p5 + p4) + (p3 + (p2 + p1)) + p0, then empty
+  Histogram a = parts[5];
+  a.merge(parts[4]);
+  Histogram b = parts[2];
+  b.merge(parts[1]);
+  Histogram c = parts[3];
+  c.merge(b);
+  paired.merge(parts[6]);
+  paired.merge(a);
+  paired.merge(c);
+  paired.merge(parts[0]);
+  paired.merge(Histogram{});
+
+  for (const Histogram* m : {&forward, &paired}) {
+    EXPECT_EQ(m->buckets(), whole.buckets());
+    EXPECT_EQ(m->count(), whole.count());
+    StatsRegistry merged;
+    merged.histogram("h") = *m;
+    StatsRegistry single;
+    single.histogram("h") = whole;
+    EXPECT_EQ(merged.to_json_string(), single.to_json_string());
+  }
+}
+
+// The exact nearest-rank order statistic: the ceil(p*n/100)-th smallest.
+double nearest_rank(std::vector<double> sorted, double p) {
+  std::sort(sorted.begin(), sorted.end());
+  const double n = static_cast<double>(sorted.size());
+  const auto rank = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(p * n / 100.0)));
+  return sorted[rank - 1];
+}
+
+TEST(HistogramTest, QuantilesWithinRelErrorOfNearestRank) {
+  std::uint64_t seed = 1;
+  for (const std::size_t n : {1u, 2u, 7u, 79u, 100u, 1000u, 20000u}) {
+    Rng rng{seed++};
+    std::vector<double> values;
+    Histogram h;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double v = std::exp(rng.normal(2.0, 3.0));  // ~1e-4 .. ~1e5
+      values.push_back(v);
+      h.record(v);
+    }
+    for (const double p : {0.0, 50.0, 90.0, 95.0, 99.0, 100.0}) {
+      const double exact = nearest_rank(values, p);
+      EXPECT_NEAR(h.percentile(p), exact, exact * Histogram::kRelError)
+          << "n=" << n << " p=" << p;
+    }
+  }
+}
+
+void expect_ordered(const Histogram& h) {
+  const double p50 = h.percentile(50);
+  const double p90 = h.percentile(90);
+  const double p95 = h.percentile(95);
+  const double p99 = h.percentile(99);
+  EXPECT_LE(h.min(), p50);
+  EXPECT_LE(p50, p90);
+  EXPECT_LE(p90, p95);
+  EXPECT_LE(p95, p99);
+  EXPECT_LE(p99, h.max());
+}
+
+TEST(HistogramTest, QuantilesAreOrderedAndInsideMinMax) {
+  // Every value inside one bucket's upper half: the midpoint lies below
+  // min and is clamped up to it.
+  Histogram narrow;
+  for (int i = 0; i < 10; ++i) narrow.record(97.0 + 0.1 * i);
+  expect_ordered(narrow);
+  EXPECT_DOUBLE_EQ(narrow.percentile(0), 97.0);
+  // A latency tail whose top bucket reaches past max (a power-of-two
+  // histogram once reported p50 = 131072 with max = 84907 here).
+  Histogram tail;
+  for (int i = 0; i < 566; ++i) tail.record(65536.0 + 34.0 * i);
+  tail.record(84906.734);
+  expect_ordered(tail);
+  EXPECT_LE(tail.percentile(99), 84906.734);
+  for (const double mu : {-3.0, 0.0, 5.0}) {
+    Histogram h;
+    for (const double v : lognormal_stream(7, 500, mu, 2.0)) h.record(v);
+    expect_ordered(h);
+  }
+}
+
+TEST(HistogramTest, ZerosNanAndOutOfRangeValues) {
   Histogram h;
-  for (std::size_t i = 0; i < kN; ++i) h.record(static_cast<double>(i % 100));
-  EXPECT_EQ(h.count(), kN);
-  EXPECT_NEAR(h.mean(), 49.5, 1e-9);      // moments are streaming, exact
-  EXPECT_DOUBLE_EQ(h.min(), 0.0);
-  EXPECT_DOUBLE_EQ(h.max(), 99.0);
-  // Percentiles come from the uniform reservoir: approximate, but within
-  // the value range and near the true median of 49.5.
-  EXPECT_GE(h.percentile(0), 0.0);
-  EXPECT_LE(h.percentile(100), 99.0);
-  EXPECT_NEAR(h.percentile(50), 49.5, 2.0);
+  for (int i = 0; i < 3; ++i) h.record(0.0);
+  h.record(std::numeric_limits<double>::quiet_NaN());  // not recorded
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_EQ(h.buckets()[0], 3u);
+  EXPECT_DOUBLE_EQ(h.percentile(50), 0.0);
+  EXPECT_DOUBLE_EQ(h.mean(), 0.0);
+
+  h.record(1e30);  // past the top bucket: overflow, reported as max
+  h.record(-5.0);  // negative: underflow, exact in min
+  EXPECT_EQ(h.count(), 5u);
+  EXPECT_EQ(h.buckets()[Histogram::kBuckets - 1], 1u);
+  EXPECT_EQ(h.buckets()[0], 4u);
+  EXPECT_DOUBLE_EQ(h.min(), -5.0);
+  EXPECT_DOUBLE_EQ(h.max(), 1e30);
+  EXPECT_DOUBLE_EQ(h.percentile(0), 0.0);  // underflow reports 0, in range
+  EXPECT_DOUBLE_EQ(h.percentile(100), 1e30);
+  EXPECT_DOUBLE_EQ(h.sum(), 1e30 - 5.0);
+  expect_ordered(h);
+  Histogram merged;  // both outlier buckets merge like the rest
+  merged.merge(h);
+  EXPECT_EQ(merged.buckets(), h.buckets());
+
+  const std::string json = [&] {
+    StatsRegistry reg;
+    reg.histogram("h") = h;
+    return reg.to_json_string();
+  }();
+  EXPECT_EQ(json.find("nan"), std::string::npos);
 }
 
 TEST(CounterTest, AddAccumulates) {
@@ -74,43 +228,6 @@ TEST(GaugeTest, SetTracksHighWaterAndAddIsRelative) {
   g.add(-5.0);  // 2
   EXPECT_DOUBLE_EQ(g.value(), 2.0);
   EXPECT_DOUBLE_EQ(g.high_water(), 7.0);
-}
-
-// --- LogHistogram -----------------------------------------------------------
-
-TEST(LogHistogramTest, BucketEdgesArePowersOfTwo) {
-  LogHistogram h;
-  h.record(0.0);   // <= 1 -> bucket 0
-  h.record(1.0);   // exact bound -> bucket 0
-  h.record(1.5);   // (1,2] -> bucket 1
-  h.record(2.0);   // exact power of two lands in its own bucket
-  h.record(3.0);   // (2,4] -> bucket 2
-  h.record(4.0);   // (2,4] -> bucket 2
-  const auto& b = h.buckets();
-  EXPECT_EQ(b[0], 2u);
-  EXPECT_EQ(b[1], 2u);
-  EXPECT_EQ(b[2], 2u);
-  EXPECT_EQ(h.count(), 6u);
-  EXPECT_DOUBLE_EQ(h.sum(), 11.5);
-  EXPECT_DOUBLE_EQ(h.max(), 4.0);
-}
-
-TEST(LogHistogramTest, OutOfRangeValuesSaturateOrClamp) {
-  LogHistogram h;
-  h.record(-5.0);  // negative clamps to 0 -> bucket 0
-  h.record(1e30);  // beyond the top bound saturates into the last bucket
-  EXPECT_EQ(h.buckets()[0], 1u);
-  EXPECT_EQ(h.buckets()[LogHistogram::kBuckets - 1], 1u);
-  EXPECT_EQ(h.count(), 2u);
-}
-
-TEST(LogHistogramTest, PercentileResolvesToBucketUpperBound) {
-  LogHistogram h;
-  for (int i = 0; i < 99; ++i) h.record(100.0);   // bucket (64,128]
-  h.record(10000.0);                              // bucket (8192,16384]
-  EXPECT_DOUBLE_EQ(h.percentile(50), 128.0);
-  EXPECT_DOUBLE_EQ(h.percentile(100), 16384.0);
-  EXPECT_DOUBLE_EQ(LogHistogram{}.percentile(99), 0.0);  // empty
 }
 
 // --- StatsRegistry ----------------------------------------------------------
@@ -130,21 +247,21 @@ TEST(StatsRegistryTest, RegistrationIsIdempotentAndHandlesAreStable) {
   StatsRegistry reg;
   Counter* c1 = &reg.counter("x");
   Gauge* g1 = &reg.gauge("x");
-  LogHistogram* h1 = &reg.log_histogram("x");
+  Histogram* h1 = &reg.histogram("x");
   reg.counter("a");  // map churn must not move existing nodes
   reg.counter("z");
   reg.gauge("a");
-  reg.log_histogram("a");
+  reg.histogram("a");
   EXPECT_EQ(c1, &reg.counter("x"));
   EXPECT_EQ(g1, &reg.gauge("x"));
-  EXPECT_EQ(h1, &reg.log_histogram("x"));
+  EXPECT_EQ(h1, &reg.histogram("x"));
   EXPECT_EQ(reg.counters().size(), 3u);
 }
 
 // The two export shapes, byte for byte. A per-component registry (counters
-// and exact histograms) writes no "gauges" key; a telemetry registry
-// (counters, gauges, log histograms) writes gauges as value/high_water and
-// log histograms as count/sum/max/p50/p95/p99.
+// and histograms) writes no "gauges" key; a telemetry registry (counters,
+// gauges, histograms) writes gauges as value/high_water. Every histogram
+// has one shape, its quantiles bucket midpoints clamped to [min, max].
 constexpr const char* kComponentJson = R"({
   "counters": {
     "drops": 0,
@@ -157,10 +274,11 @@ constexpr const char* kComponentJson = R"({
       "stddev": 1.527525232,
       "min": 1,
       "max": 4,
-      "p50": 2,
-      "p90": 3.6,
-      "p95": 3.8,
-      "p99": 3.96
+      "p50": 2.03125,
+      "p90": 4,
+      "p95": 4,
+      "p99": 4,
+      "rel_error": 0.015625
     }
   }
 })";
@@ -178,11 +296,15 @@ constexpr const char* kTelemetryJson = R"({
   "histograms": {
     "workload.latency_us": {
       "count": 3,
-      "sum": 3200,
+      "mean": 1066.666667,
+      "stddev": 1674.315781,
+      "min": 100,
       "max": 3000,
-      "p50": 128,
-      "p95": 4096,
-      "p99": 4096
+      "p50": 101,
+      "p90": 2976,
+      "p95": 2976,
+      "p99": 2976,
+      "rel_error": 0.015625
     }
   }
 })";
@@ -201,15 +323,14 @@ TEST(StatsRegistryTest, TelemetryRegistryJsonShapeIsPinned) {
   reg.gauge("wired.queued_bytes").set(1500.0);
   reg.gauge("wired.queued_bytes").set(500.0);
   for (double v : {100.0, 100.0, 3000.0}) {
-    reg.log_histogram("workload.latency_us").record(v);
+    reg.histogram("workload.latency_us").record(v);
   }
   EXPECT_EQ(reg.to_json_string(), kTelemetryJson);
 }
 
 // Each kind merges by its own rule: counters add; gauge levels add and the
 // high-water is the larger of the two (not the high-water of the summed
-// level); exact histograms keep count/sum/min/max exact; log histograms
-// add bucket by bucket.
+// level); histograms keep count/sum/min/max exact and add bucket by bucket.
 TEST(StatsRegistryTest, MergeFoldsEachKindByItsRule) {
   StatsRegistry a;
   StatsRegistry b;
@@ -224,26 +345,21 @@ TEST(StatsRegistryTest, MergeFoldsEachKindByItsRule) {
   a.histogram("h").record(1.0);
   b.histogram("h").record(3.0);
   b.histogram("h").record(-2.0);
-
-  a.log_histogram("l").record(3.0);     // bucket 2
-  b.log_histogram("l").record(4.0);     // bucket 2
-  b.log_histogram("l").record(1000.0);  // bucket 10
+  b.histogram("h").record(1.01);  // 1.0's bucket
 
   a.merge(b);
   EXPECT_EQ(a.counter("c").value(), 7u);
   EXPECT_EQ(a.counter("only_b").value(), 1u);
   EXPECT_DOUBLE_EQ(a.gauge("g").value(), 7.0);
   EXPECT_DOUBLE_EQ(a.gauge("g").high_water(), 10.0);
-  EXPECT_EQ(a.histogram("h").count(), 3u);
-  EXPECT_DOUBLE_EQ(a.histogram("h").sum(), 2.0);
-  EXPECT_DOUBLE_EQ(a.histogram("h").min(), -2.0);
-  EXPECT_DOUBLE_EQ(a.histogram("h").max(), 3.0);
-  const LogHistogram& l = a.log_histogram("l");
-  EXPECT_EQ(l.count(), 3u);
-  EXPECT_EQ(l.buckets()[2], 2u);
-  EXPECT_EQ(l.buckets()[10], 1u);
-  EXPECT_DOUBLE_EQ(l.sum(), 1007.0);
-  EXPECT_DOUBLE_EQ(l.max(), 1000.0);
+  const Histogram& h = a.histogram("h");
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_DOUBLE_EQ(h.sum(), 3.01);
+  EXPECT_DOUBLE_EQ(h.min(), -2.0);
+  EXPECT_DOUBLE_EQ(h.max(), 3.0);
+  EXPECT_EQ(h.buckets()[Histogram::bucket_of(1.0)], 2u);
+  EXPECT_EQ(h.buckets()[Histogram::bucket_of(3.0)], 1u);
+  EXPECT_EQ(h.buckets()[0], 1u);  // -2 underflows
 }
 
 TEST(CounterHandleTest, UnusedHandleLeavesNoKey) {

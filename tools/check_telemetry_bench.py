@@ -11,6 +11,11 @@ telemetry:
     one nonzero series per component. A zero namespace means a component
     stopped updating its metrics (instrumentation rot), the exact failure
     this gate exists to catch.
+  * quantiles: every histogram under metrics.histograms states its
+    rel_error and keeps min <= p50 <= p95 <= p99 <= max. A quantile outside
+    the recorded range means the estimator reports a bucket bound, not a
+    value (a power-of-two histogram once showed p50 = 131072 with
+    max = 84907).
   * determinism: with --identical OTHER, this file and OTHER must be
     byte-identical — two runs of the same scenario may not diverge.
   * overhead: with --overhead FILE (a bench/telemetry overhead JSON, never
@@ -70,11 +75,34 @@ def check_summary(path: Path, min_ticks: int, failures: list[str]) -> dict:
             failures.append(
                 f"{path}: no nonzero timeline series under '{name}.'")
 
+    check_histograms(path, data["metrics"].get("histograms", {}), failures)
+
     for name in COMPONENTS:
         print(f"{name}: counters {totals.get(name, 0)}, "
               f"{sum(1 for s, v in series.items() if s.startswith(name + '.') and v.get('nonzero'))} "
               f"live series")
     return data
+
+
+def check_histograms(path: Path, histograms: dict,
+                     failures: list[str]) -> None:
+    if not histograms:
+        failures.append(f"{path}: metrics.histograms is empty")
+    for name, h in histograms.items():
+        if "rel_error" not in h:
+            failures.append(f"{path}: histogram '{name}' states no rel_error")
+        keys = ("min", "p50", "p95", "p99", "max")
+        missing = [k for k in keys if k not in h]
+        if missing:
+            failures.append(
+                f"{path}: histogram '{name}' lacks {', '.join(missing)}")
+            continue
+        values = [h[k] for k in keys]
+        if any(a > b for a, b in zip(values, values[1:])):
+            failures.append(
+                f"{path}: histogram '{name}' breaks min <= p50 <= p95 <= "
+                f"p99 <= max: "
+                + ", ".join(f"{k}={v}" for k, v in zip(keys, values)))
 
 
 def check_overhead(path: Path, max_overhead: float,

@@ -90,7 +90,7 @@ SCHED_SINKS = frozenset(
     "after at schedule send transmit notify_handoff".split())
 OUTPUT_SINKS = frozenset(
     "key value begin_object end_object begin_array end_array raw "
-    "to_json record add merge counter gauge histogram log_histogram set_value "
+    "to_json record add merge counter gauge histogram set_value "
     "set_text log trace".split())
 SINK_CALLS = SCHED_SINKS | OUTPUT_SINKS
 
