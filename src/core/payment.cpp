@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <map>
 
+#include "sim/arena.h"
 #include "sim/util.h"
 
 namespace mcs::core {
@@ -144,6 +145,7 @@ PaymentCoordinator::PaymentCoordinator(host::HttpClient& http,
                                        host::db::Database& orders_db,
                                        sim::Simulator& sim)
     : http_{http}, bank_{bank}, db_{orders_db}, sim_{sim} {
+  bank_req_.method = "POST";
   if (db_.table("orders") == nullptr) {
     db_.create_table("orders", {{"id", host::db::ValueType::kText},
                                 {"account", host::db::ValueType::kText},
@@ -181,11 +183,11 @@ void PaymentCoordinator::charge(const std::string& idempotency_key,
     cb(std::move(o));
   };
 
-  HttpRequest prep;
-  prep.method = "POST";
-  prep.path = strf("/bank/prepare?txn=%s&account=%s&amount=%.2f",
-                   idempotency_key.c_str(), account.c_str(), amount);
-  http_.request(bank_, prep,
+  bank_req_.path.clear();
+  sim::BufWriter{bank_req_.path}.f(
+      "/bank/prepare?txn=%s&account=%s&amount=%.2f", idempotency_key.c_str(),
+      account.c_str(), amount);
+  http_.request(bank_, bank_req_,
                 [this, idempotency_key, account, amount, item,
                  finish](std::optional<host::HttpResponse> resp) mutable {
     if (!resp.has_value() || resp->status != 200 ||
@@ -194,17 +196,17 @@ void PaymentCoordinator::charge(const std::string& idempotency_key,
       o.failure = resp.has_value() ? "prepare-refused: " + resp->body
                                    : "bank-unreachable";
       // Best-effort abort so the reservation (if any) is released early.
-      HttpRequest ab;
-      ab.method = "POST";
-      ab.path = "/bank/abort?txn=" + idempotency_key;
-      http_.request(bank_, ab, [](auto) {});
+      bank_req_.path.clear();
+      sim::BufWriter{bank_req_.path}.put("/bank/abort?txn=").put(
+          idempotency_key);
+      http_.request(bank_, bank_req_, [](auto) {});
       finish(std::move(o));
       return;
     }
-    HttpRequest commit;
-    commit.method = "POST";
-    commit.path = "/bank/commit?txn=" + idempotency_key;
-    http_.request(bank_, commit,
+    bank_req_.path.clear();
+    sim::BufWriter{bank_req_.path}.put("/bank/commit?txn=").put(
+        idempotency_key);
+    http_.request(bank_, bank_req_,
                   [this, idempotency_key, account, amount, item,
                    finish](std::optional<host::HttpResponse> resp2) mutable {
       Outcome o;

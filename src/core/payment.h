@@ -95,6 +95,9 @@ class PaymentCoordinator {
  private:
   host::HttpClient& http_;
   net::Endpoint bank_;
+  // The 2PC request to the bank, refilled for each prepare, commit and
+  // abort (the client serializes it before request() returns).
+  host::HttpRequest bank_req_;
   host::db::Database& db_;
   sim::Simulator& sim_;
   std::unordered_map<std::string, Outcome> completed_;  // by idempotency key

@@ -1,6 +1,9 @@
 #include "host/http.h"
 
-#include <cstdlib>
+#include <algorithm>
+#include <climits>
+#include <cstdint>
+#include <cstring>
 
 #include "sim/contract.h"
 #include "sim/util.h"
@@ -11,116 +14,194 @@ namespace {
 
 using sim::Slice;
 
-// First case-insensitive match, or nullptr. HTTP header names are
-// case-insensitive; the map preserves the sender's spelling, so lookup
-// compares without lowering either side.
-const std::string* find_header(const HeaderMap& headers, Slice name) {
-  for (const auto& [k, v] : headers) {
-    if (sim::iequals(k, name)) return &v;
+// HttpHeaders' invariant: a name holds no ':' or '\n', a value no '\n'.
+bool valid_field(Slice name, Slice value) {
+  for (const char c : name) {
+    if (c == ':' || c == '\n') return false;
   }
-  return nullptr;
+  return value.find('\n') == Slice::npos;
 }
 
-void serialize_headers(sim::BufWriter& w, const HeaderMap& headers,
+void serialize_headers(sim::BufWriter& w, const HttpHeaders& headers,
                        std::size_t body_size) {
-  bool have_length = false;
-  for (const auto& [k, v] : headers) {
-    w.put(k).put(": ").put(v).put("\r\n");
-    if (sim::iequals(k, "content-length")) have_length = true;
-  }
-  if (!have_length && body_size > 0) {
+  w.put(headers.wire());
+  if (body_size > 0 && !headers.has("Content-Length")) {
     w.put("Content-Length: ").u64(body_size).put("\r\n");
   }
   w.put("\r\n");
 }
 
-std::size_t wire_estimate(const HeaderMap& headers, std::size_t start_line,
-                          std::size_t body_size) {
-  std::size_t n = start_line + body_size + 32;
-  for (const auto& [k, v] : headers) n += k.size() + v.size() + 8;
-  return n;
-}
-
 // Exact byte count serialize_headers will emit.
-std::size_t headers_size(const HeaderMap& headers, std::size_t body_size) {
-  bool have_length = false;
-  std::size_t n = 2;  // final CRLF
-  for (const auto& [k, v] : headers) {
-    n += k.size() + v.size() + 4;
-    if (sim::iequals(k, "content-length")) have_length = true;
-  }
-  if (!have_length && body_size > 0) {
+std::size_t headers_size(const HttpHeaders& headers, std::size_t body_size) {
+  std::size_t n = headers.wire().size() + 2;  // fields + final CRLF
+  if (body_size > 0 && !headers.has("Content-Length")) {
     n += 16 + sim::u64s(body_size).len + 2;  // "Content-Length: %zu\r\n"
   }
   return n;
 }
 
-// Shared start-line + header block parsing over views into `buf`. Returns
-// bytes consumed through the blank line, or 0 if the block is incomplete.
-// `start_line` is a trimmed view into `buf` (valid until the buffer
-// changes); headers are the parse's one owning step, since they outlive
-// the connection buffer.
-std::size_t parse_head(const std::string& buf, Slice& start_line,
-                       HeaderMap& headers) {
-  const std::size_t end = buf.find("\r\n\r\n");
-  if (end == std::string::npos) return 0;
-  const Slice head{buf.data(), end};
-  std::size_t row_no = 0;
-  std::size_t pos = 0;
-  while (pos <= head.size()) {
-    std::size_t nl = head.find('\n', pos);
-    if (nl == Slice::npos) nl = head.size();
-    const Slice row = sim::trim_view(Slice{head.data() + pos, nl - pos});
-    if (row_no == 0) {
-      start_line = row;
-    } else if (const std::size_t colon = row.find(':');
-               colon != Slice::npos) {
-      const Slice name = sim::trim_view(Slice{row.data(), colon});
-      const Slice value = sim::trim_view(
-          Slice{row.data() + colon + 1, row.size() - colon - 1});
-      if (auto it = headers.find(name); it != headers.end()) {
-        it->second.assign(value.data(), value.size());
-      } else {
-        headers.try_emplace({name.data(), name.size()}, value);
-      }
+// Walks the head at the front of `data` in one pass. Rows end at '\n' and
+// are trimmed of ASCII whitespace; the first row is the start line, stored
+// in `start_line`, and every later row holding a ':' is a field, passed to
+// fn(name, value) with both sides trimmed. The head ends at the first
+// "\r\n\r\n": its last '\n' is the first one preceded by "\r\n\r".
+// Returns the head's length through that blank line, or 0 while the head
+// is incomplete (fn may have seen some fields by then). The framer and the
+// message builder both read heads through this one walk, so they agree on
+// every field.
+template <class Fn>
+std::size_t scan_head(Slice data, Slice& start_line, Fn&& fn) {
+  const char* d = data.data();
+  for (std::size_t pos = 0, row = 0;; ++row) {
+    const std::size_t nl = data.find('\n', pos);
+    if (nl == Slice::npos) return 0;
+    if (nl >= 3 && d[nl - 1] == '\r' && d[nl - 2] == '\n' &&
+        d[nl - 3] == '\r') {
+      return nl + 1;
     }
-    ++row_no;
+    const Slice line = sim::trim_view(Slice{d + pos, nl - pos});
+    if (row == 0) {
+      start_line = line;
+    } else if (const std::size_t colon = line.find(':');
+               colon != Slice::npos) {
+      fn(sim::trim_view(Slice{line.data(), colon}),
+         sim::trim_view(
+             Slice{line.data() + colon + 1, line.size() - colon - 1}));
+    }
     pos = nl + 1;
   }
-  return end + 4;
 }
 
-// atoi semantics (leading whitespace, optional sign, digit prefix) over a
-// non-NUL-terminated view.
-int parse_int(Slice s) {
-  std::size_t i = 0;
-  while (i < s.size() && sim::is_ascii_space(s[i])) ++i;
-  long long sign = 1;
-  if (i < s.size() && (s[i] == '+' || s[i] == '-')) {
-    if (s[i] == '-') sign = -1;
-    ++i;
+// A Content-Length value: one or more decimal digits, at most `limit`.
+bool parse_length(Slice s, std::size_t limit, std::size_t& out) {
+  if (s.empty()) return false;
+  std::size_t v = 0;
+  for (const char c : s) {
+    if (c < '0' || c > '9') return false;
+    const std::size_t d = static_cast<std::size_t>(c - '0');
+    if (v > (limit - d) / 10) return false;
+    v = v * 10 + d;
   }
-  long long v = 0;
-  for (; i < s.size() && s[i] >= '0' && s[i] <= '9'; ++i) {
-    v = v * 10 + (s[i] - '0');
-  }
-  return static_cast<int>(sign * v);
+  out = v;
+  return true;
 }
 
 }  // namespace
 
-std::string HttpRequest::header(const std::string& name) const {
-  const std::string* v = find_header(headers, name);
-  return v == nullptr ? "" : *v;
+// ---------------------------------------------------------------------------
+// HttpHeaders
+// ---------------------------------------------------------------------------
+
+bool HttpHeaders::next(std::size_t& pos, Field& f) const {
+  if (pos >= block_.size()) return false;
+  const std::size_t colon = block_.find(':', pos);
+  const std::size_t nl = block_.find('\n', colon);
+  f.begin = pos;
+  f.name = Slice{block_.data() + pos, colon - pos};
+  f.value = Slice{block_.data() + colon + 2, nl - 1 - (colon + 2)};
+  pos = nl + 1;
+  return true;
 }
-void HttpRequest::set_header(const std::string& name,
-                             const std::string& value) {
-  headers[name] = value;
+
+Slice HttpHeaders::get(Slice name) const {
+  Field f;
+  for (std::size_t pos = 0; next(pos, f);) {
+    if (sim::iequals(f.name, name)) return f.value;
+  }
+  return {};
+}
+
+bool HttpHeaders::has(Slice name) const {
+  Field f;
+  for (std::size_t pos = 0; next(pos, f);) {
+    if (sim::iequals(f.name, name)) return true;
+  }
+  return false;
+}
+
+void HttpHeaders::make_room(std::size_t more) {
+  const std::size_t need = block_.size() + more;
+  if (need > block_.capacity()) {
+    block_.reserve(std::max({need, 2 * block_.capacity(), kMinBlock}));
+  }
+}
+
+void HttpHeaders::insert(std::size_t at, Slice name, Slice value) {
+  const std::size_t n = name.size() + value.size() + 4;
+  make_room(n);
+  block_.insert(at, n, ' ');
+  char* p = block_.data() + at;
+  std::memcpy(p, name.data(), name.size());
+  p += name.size();
+  *p++ = ':';
+  *p++ = ' ';
+  std::memcpy(p, value.data(), value.size());
+  p += value.size();
+  *p++ = '\r';
+  *p = '\n';
+}
+
+void HttpHeaders::set(Slice name, Slice value) { put(name, value, false); }
+
+void HttpHeaders::add(Slice name, Slice value) { put(name, value, true); }
+
+void HttpHeaders::put(Slice name, Slice value, bool fold) {
+  MCS_ASSERT(valid_field(name, value),
+             "a header name holds no ':' or newline and a value no newline; "
+             "either would split the field on the wire");
+  // Names usually arrive in order (a parsed head was written from a block
+  // like this one), so first compare with the last field alone.
+  std::size_t pos = 0;
+  if (!block_.empty()) {
+    const std::size_t nl = block_.rfind('\n', block_.size() - 2);
+    pos = nl == std::string::npos ? 0 : nl + 1;
+    const std::size_t colon = block_.find(':', pos);
+    if (Slice{block_.data() + pos, colon - pos} < name) {
+      insert(block_.size(), name, value);
+      return;
+    }
+    pos = 0;
+  }
+  Field f;
+  while (next(pos, f)) {
+    const int cmp = f.name.compare(name);
+    if (cmp > 0) {
+      insert(f.begin, name, value);
+      return;
+    }
+    if (cmp == 0) {
+      const std::size_t at = static_cast<std::size_t>(f.value.data() -
+                                                      block_.data());
+      if (!fold) {
+        make_room(value.size());
+        block_.replace(at, f.value.size(), value.data(), value.size());
+        return;
+      }
+      const std::size_t end = at + f.value.size();
+      make_room(value.size() + 2);
+      block_.insert(end, value.size() + 2, ',');
+      block_[end + 1] = ' ';
+      std::memcpy(block_.data() + end + 2, value.data(), value.size());
+      return;
+    }
+  }
+  insert(block_.size(), name, value);
+}
+
+// ---------------------------------------------------------------------------
+// Messages
+// ---------------------------------------------------------------------------
+
+std::string HttpRequest::header(Slice name) const {
+  return std::string{headers.get(name)};
+}
+void HttpRequest::set_header(Slice name, Slice value) {
+  headers.set(name, value);
 }
 
 void HttpRequest::serialize_to(sim::BufWriter& w) const {
-  w.need(wire_estimate(
-      headers, method.size() + path.size() + version.size(), body.size()));
+  w.need(method.size() + path.size() + version.size() + 4 +
+         headers.wire().size() + 32 + body.size());
   w.put(method).ch(' ').put(path).ch(' ').put(version).put("\r\n");
   serialize_headers(w, headers, body.size());
   w.put(body);
@@ -138,18 +219,16 @@ std::size_t HttpRequest::wire_size() const {
          headers_size(headers, body.size()) + body.size();
 }
 
-std::string HttpResponse::header(const std::string& name) const {
-  const std::string* v = find_header(headers, name);
-  return v == nullptr ? "" : *v;
+std::string HttpResponse::header(Slice name) const {
+  return std::string{headers.get(name)};
 }
-void HttpResponse::set_header(const std::string& name,
-                              const std::string& value) {
-  headers[name] = value;
+void HttpResponse::set_header(Slice name, Slice value) {
+  headers.set(name, value);
 }
 
 void HttpResponse::serialize_to(sim::BufWriter& w) const {
-  w.need(wire_estimate(headers, version.size() + reason.size() + 8,
-                       body.size()));
+  w.need(version.size() + reason.size() + 12 + headers.wire().size() + 32 +
+         body.size());
   // Same bytes as strf("%s %d %s\r\n", version, status, reason).
   w.put(version).ch(' ').i64(status).ch(' ').put(reason).put("\r\n");
   serialize_headers(w, headers, body.size());
@@ -185,7 +264,7 @@ const char* reason_for_status(int status) {
   return "Unknown";
 }
 
-HttpResponse HttpResponse::make(int status, std::string content_type,
+HttpResponse HttpResponse::make(int status, Slice content_type,
                                 std::string body) {
   HttpResponse r;
   r.status = status;
@@ -205,40 +284,110 @@ HttpResponse HttpResponse::server_error(const std::string& why) {
   return make(500, "text/plain", "server error: " + why);
 }
 
+// ---------------------------------------------------------------------------
+// HttpParser
+// ---------------------------------------------------------------------------
+
+namespace {
+// The carry buffer reserves room for a framed message's full length up to
+// this many bytes; past it the buffer grows as the body arrives, so a
+// declared length never reserves memory by itself.
+constexpr std::size_t kMaxCarryReserve = std::size_t{1} << 20;
+// Head room in a built message's field block for a field or two the
+// receiver adds (a server's X-Peer) without regrowing the block.
+constexpr std::size_t kFieldSlack = 48;
+}  // namespace
+
 void HttpParser::fail(const std::string& why) {
   failed_ = true;
   if (on_error) on_error(why);
 }
 
-void HttpParser::feed(const std::string& bytes) {
+void HttpParser::feed(Slice bytes) {
   MCS_ASSERT((mode_ == Mode::kRequest ? on_request != nullptr
                                       : on_response != nullptr) ||
                  on_error != nullptr,
              "a sink (message or error callback) must be wired before bytes "
              "arrive, or every parse outcome vanishes silently");
+  if (failed_ || bytes.empty()) return;
+  if (carry_.empty()) {
+    // Nothing carried: parse whole messages straight from the segment and
+    // copy only an incomplete tail.
+    const std::size_t used = consume(bytes);
+    if (failed_ || used == bytes.size()) return;
+    if (head_len_ != 0) {
+      carry_.reserve(std::min(head_len_ + body_len_, kMaxCarryReserve));
+    }
+    carry_.assign(bytes.data() + used, bytes.size() - used);
+    return;
+  }
+  carry_.append(bytes.data(), bytes.size());
+  // A framed message whose body is still arriving: nothing to re-scan.
+  if (head_len_ != 0 && carry_.size() < head_len_ + body_len_) return;
+  const std::size_t used = consume(carry_);
   if (failed_) return;
-  buffer_ += bytes;
-  while (try_parse_one()) {
+  if (used == carry_.size()) {
+    carry_.clear();
+  } else if (used != 0) {
+    carry_.erase(0, used);
   }
 }
 
-bool HttpParser::try_parse_one() {
-  if (failed_ || buffer_.empty()) return false;
-  HeaderMap headers;
-  Slice start_line;
-  const std::size_t head_len = parse_head(buffer_, start_line, headers);
-  if (head_len == 0) return false;
-
-  std::size_t body_len = 0;
-  if (const std::string* cl = find_header(headers, "Content-Length");
-      cl != nullptr && !cl->empty()) {
-    body_len = std::strtoull(cl->c_str(), nullptr, 10);
+std::size_t HttpParser::consume(Slice data) {
+  std::size_t pos = 0;
+  while (!failed_ && pos < data.size()) {
+    const Slice rest{data.data() + pos, data.size() - pos};
+    if (head_len_ == 0 && !frame(rest)) break;
+    if (rest.size() - head_len_ < body_len_) break;  // body incomplete
+    const std::size_t head_len = head_len_;
+    const std::size_t body_len = body_len_;
+    head_len_ = 0;
+    body_len_ = 0;
+    if (!emit(Slice{rest.data(), head_len},
+              Slice{rest.data() + head_len, body_len})) {
+      break;
+    }
+    pos += head_len + body_len;
   }
-  if (buffer_.size() < head_len + body_len) return false;  // body incomplete
+  return pos;
+}
+
+bool HttpParser::frame(Slice data) {
+  Slice start_line;
+  Slice length;
+  std::size_t lengths = 0;
+  const std::size_t head_len =
+      scan_head(data, start_line, [&](Slice name, Slice value) {
+        if (sim::iequals(name, "Content-Length") && lengths++ == 0) {
+          length = value;
+        }
+      });
+  if (head_len == 0) return false;
+  std::size_t body_len = 0;
+  if (lengths > 1) {
+    fail("repeated Content-Length");
+    return false;
+  }
+  if (lengths == 1 && !parse_length(length, SIZE_MAX - head_len, body_len)) {
+    fail(sim::cat("bad Content-Length: ", length));
+    return false;
+  }
+  head_len_ = head_len;
+  body_len_ = body_len;
+  return true;
+}
+
+bool HttpParser::emit(Slice head, Slice body) {
+  HttpHeaders& headers =
+      mode_ == Mode::kRequest ? request_.headers : response_.headers;
+  headers.clear();
+  headers.reserve(head.size() + kFieldSlack);
+  Slice start_line;
+  scan_head(head, start_line,
+            [&headers](Slice name, Slice value) { headers.add(name, value); });
 
   // Start-line fields, split on ' ' (empty segments count, mirroring
-  // sim::split). Views into buffer_, so fields are copied out before the
-  // consumed prefix is erased below.
+  // sim::split).
   Slice seg[3];
   std::size_t nseg = 0;
   std::size_t field = 0;
@@ -257,31 +406,25 @@ bool HttpParser::try_parse_one() {
       fail(sim::cat("malformed request line: ", start_line));
       return false;
     }
-    HttpRequest req;
-    req.method.assign(seg[0].data(), seg[0].size());
-    req.path.assign(seg[1].data(), seg[1].size());
-    req.version.assign(seg[2].data(), seg[2].size());
-    req.headers = std::move(headers);
-    req.body.assign(buffer_, head_len, body_len);
-    buffer_.erase(0, head_len + body_len);
-    if (on_request) on_request(std::move(req));
+    request_.method.assign(seg[0]);
+    request_.path.assign(seg[1]);
+    request_.version.assign(seg[2]);
+    request_.body.assign(body);
+    if (on_request) on_request(std::move(request_));
   } else {
     if (nseg < 2) {
       fail(sim::cat("malformed status line: ", start_line));
       return false;
     }
-    HttpResponse resp;
-    resp.version.assign(seg[0].data(), seg[0].size());
-    resp.status = parse_int(seg[1]);
+    response_.version.assign(seg[0]);
+    response_.status = sim::atoi_view(seg[1], INT_MAX);
     if (nseg > 2) {
-      resp.reason.assign(seg[2].data(), seg[2].size());
+      response_.reason.assign(seg[2]);
     } else {
-      resp.reason.clear();
+      response_.reason.clear();
     }
-    resp.headers = std::move(headers);
-    resp.body.assign(buffer_, head_len, body_len);
-    buffer_.erase(0, head_len + body_len);
-    if (on_response) on_response(std::move(resp));
+    response_.body.assign(body);
+    if (on_response) on_response(std::move(response_));
   }
   return true;
 }
@@ -291,8 +434,8 @@ void CookieJar::update_from(const std::string& origin,
   MCS_ASSERT(!origin.empty(),
              "cookies are scoped per-origin; an unscoped jar would leak "
              "them across hosts");
-  // Multiple Set-Cookie values are folded into one header by our HeaderMap;
-  // accept both "a=b" and "a=b, c=d" forms.
+  // Repeated Set-Cookie lines arrive folded into one comma-joined value
+  // (HttpHeaders::add); accept both "a=b" and "a=b, c=d" forms.
   const std::string header = resp.header("Set-Cookie");
   if (header.empty()) return;
   for (const auto& part : sim::split(header, ',')) {
@@ -326,7 +469,7 @@ std::size_t CookieJar::size() const {
   return n;
 }
 
-std::optional<ParsedUrl> parse_url(const std::string& url) {
+std::optional<ParsedUrl> parse_url(sim::Slice url) {
   sim::Slice rest = url;
   if (rest.starts_with("http://")) rest.remove_prefix(7);
   if (rest.empty()) return std::nullopt;
@@ -335,10 +478,7 @@ std::optional<ParsedUrl> parse_url(const std::string& url) {
   const std::size_t colon = hostport.find(':');
   int port = 80;
   if (colon != sim::Slice::npos) {
-    // atoi over the rest of `url`: the port digits end where hostport does
-    // (at '/' or at the terminating NUL), so this reads what atoi over a
-    // hostport copy would.
-    port = std::atoi(hostport.data() + colon + 1);
+    port = sim::atoi_view(hostport.substr(colon + 1), 65536);
     if (port <= 0 || port > 65535) return std::nullopt;
   }
   const sim::Slice host = hostport.substr(0, colon);

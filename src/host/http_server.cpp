@@ -1,5 +1,7 @@
 #include "host/http_server.h"
 
+#include <algorithm>
+
 #include "obs/trace.h"
 #include "sim/contract.h"
 #include "sim/logging.h"
@@ -58,6 +60,7 @@ void HttpServer::on_accept(transport::TcpSocket::Ptr s) {
   stats_.counter(c_connections_).add();
   auto conn = std::make_shared<Connection>();
   conn->socket = std::move(s);
+  conn->peer = conn->socket->remote().to_string();
   // The parser lives inside Connection, so its callbacks must hold the
   // connection weakly: a strong capture would be a self-cycle that outlives
   // even socket teardown. The socket callbacks below keep conn alive.
@@ -67,14 +70,17 @@ void HttpServer::on_accept(transport::TcpSocket::Ptr s) {
     if (!c) return;
     // Synthetic header: lets CGI programs and gateways identify the client
     // connection (sessions, per-phone cookie jars).
-    req.set_header("X-Peer", c->socket->remote().to_string());
-    dispatch(c, std::move(req));
+    req.set_header("X-Peer", c->peer);
+    dispatch(c, req);
   };
   conn->parser.on_error = [this, weak](const std::string&) {
     auto c = weak.lock();
     if (!c) return;
     stats_.counter(c_parse_errors_).add();
-    c->socket->send(HttpResponse::bad_request("malformed").serialize());
+    wire_.clear();
+    sim::BufWriter w{wire_};
+    HttpResponse::bad_request("malformed").serialize_to(w);
+    c->socket->send(wire_);
     c->socket->close();
   };
   conn->socket->on_data = [conn](const std::string& bytes) {
@@ -83,88 +89,127 @@ void HttpServer::on_accept(transport::TcpSocket::Ptr s) {
   conn->socket->on_remote_close = [conn] { conn->socket->close(); };
 }
 
-void HttpServer::flush_outbox(const std::shared_ptr<Connection>& conn) {
-  while (!conn->outbox.empty() && conn->outbox.front()->ready) {
-    auto slot = conn->outbox.front();
-    conn->outbox.pop_front();
-    conn->socket->send(slot->wire);
-    if (slot->close_after) {
-      conn->socket->close();
-      return;
-    }
-  }
-}
-
 void HttpServer::dispatch(const std::shared_ptr<Connection>& conn,
-                          HttpRequest&& req) {
+                          HttpRequest& req) {
   stats_.counter(c_requests_).add();
   stats_.counter(c_request_bytes_).add(req.wire_size());
   obs::metric_add(m_requests_);
-  const bool close_after =
-      sim::to_lower(req.header("Connection")) == "close" ||
-      req.version == "HTTP/1.0";
 
+  const std::uint32_t slot = acquire_exchange();
+  Exchange& ex = exchanges_[slot];
+  // Swap, not move: the parser gets this exchange's earlier request back
+  // and refills its buffers for the next message.
+  std::swap(ex.req, req);
+  ex.conn = conn;
+  ex.seq = conn->next_seq++;
+  ex.close_after = sim::iequals(ex.req.headers.get("Connection"), "close") ||
+                   ex.req.version == "HTTP/1.0";
   // Request span: child of whatever the arriving bytes were stamped with
   // (the gateway's span, or the browse span for direct clients). Closed by
-  // respond; the response bytes go out re-entered into it.
-  const obs::TraceContext req_ctx = obs::begin_span(
-      obs::Component::kHostWeb, "http.request", stack_.sim().now());
-
-  auto slot = std::make_shared<PendingResponse>();
-  slot->close_after = close_after;
-  conn->outbox.push_back(slot);
-  auto respond = [this, conn, slot, req_ctx](HttpResponse resp) {
-    resp.set_header("Server", server_name_);
-    if (slot->close_after) resp.set_header("Connection", "close");
-    sim::BufWriter wire{slot->wire};
-    resp.serialize_to(wire);
-    slot->ready = true;
-    stats_.counter(c_response_bytes_).add(slot->wire.size());
-    status_counter(resp.status).add();
-    obs::end_span(req_ctx, stack_.sim().now());
-    obs::ActiveScope scope{req_ctx};
-    flush_outbox(conn);
-  };
+  // finish; the response bytes go out re-entered into it.
+  ex.req_ctx = obs::begin_span(obs::Component::kHostWeb, "http.request",
+                               stack_.sim().now());
 
   // Static content first (exact match), then dynamic routes.
-  if (req.method == "GET") {
-    auto it = content_.find(req.path);
+  if (ex.req.method == "GET") {
+    auto it = content_.find(ex.req.path);
     if (it != content_.end()) {
-      respond(HttpResponse::make(200, it->second.type, it->second.body));
+      finish(slot, ex.gen,
+             HttpResponse::make(200, it->second.type, it->second.body));
       return;
     }
   }
-  const Route* r = match(req);
-  if (r == nullptr) {
-    respond(HttpResponse::not_found(req.path));
+  ex.route = match(ex.req);
+  if (ex.route == nullptr) {
+    finish(slot, ex.gen, HttpResponse::not_found(ex.req.path));
     return;
   }
   // Application-program span: processing delay plus everything the handler
   // awaits (database round trips) until it responds.
-  const obs::TraceContext app = obs::begin_child(
-      req_ctx, obs::Component::kApplication, "app.program",
-      stack_.sim().now());
-  const sim::Time app_start = stack_.sim().now();
-  auto app_respond = [this, app, app_start,
-                      respond = std::move(respond)](HttpResponse resp) mutable {
-    obs::end_span(app, stack_.sim().now());
-    obs::metric_add(m_app_responses_);
-    obs::metric_record(m_app_us_,
-                       (stack_.sim().now() - app_start).to_micros());
-    respond(std::move(resp));
-  };
+  ex.app = obs::begin_child(ex.req_ctx, obs::Component::kApplication,
+                            "app.program", stack_.sim().now());
+  ex.app_start = stack_.sim().now();
   if (processing_delay_.is_zero()) {
-    obs::ActiveScope scope{app};
-    r->handler(req, app_respond);
+    run_handler(slot);
     return;
   }
   // Simulate CGI / application-program processing time.
-  auto& sim = stack_.sim();
-  sim.after(processing_delay_, [r, app, req = std::move(req),
-                                respond = std::move(app_respond)]() mutable {
-    obs::ActiveScope scope{app};
-    r->handler(req, respond);
-  });
+  stack_.sim().after(processing_delay_,
+                     [this, slot] { run_handler(slot); });
+}
+
+std::uint32_t HttpServer::acquire_exchange() {
+  if (free_exchanges_.empty()) {
+    exchanges_.emplace_back();
+    return static_cast<std::uint32_t>(exchanges_.size() - 1);
+  }
+  const std::uint32_t slot = free_exchanges_.back();
+  free_exchanges_.pop_back();
+  return slot;
+}
+
+void HttpServer::run_handler(std::uint32_t slot) {
+  Exchange& ex = exchanges_[slot];
+  obs::ActiveScope scope{ex.app};
+  ex.route->handler(ex.req,
+                    [this, slot, gen = ex.gen](HttpResponse resp) {
+                      finish(slot, gen, std::move(resp));
+                    });
+}
+
+void HttpServer::finish(std::uint32_t slot, std::uint32_t gen,
+                        HttpResponse resp) {
+  Exchange& ex = exchanges_[slot];
+  MCS_ASSERT(ex.gen == gen && ex.conn != nullptr,
+             "a request is answered exactly once");
+  const sim::Time now = stack_.sim().now();
+  if (ex.route != nullptr) {  // the application program answered
+    obs::end_span(ex.app, now);
+    obs::metric_add(m_app_responses_);
+    obs::metric_record(m_app_us_, (now - ex.app_start).to_micros());
+  }
+  resp.set_header("Server", server_name_);
+  if (ex.close_after) resp.set_header("Connection", "close");
+  wire_.clear();
+  sim::BufWriter wire{wire_};
+  resp.serialize_to(wire);
+  stats_.counter(c_response_bytes_).add(wire_.size());
+  status_counter(resp.status).add();
+  obs::end_span(ex.req_ctx, now);
+  obs::ActiveScope scope{ex.req_ctx};
+  // Release the exchange before sending: the response no longer needs it.
+  const std::shared_ptr<Connection> conn = std::move(ex.conn);
+  const std::uint64_t seq = ex.seq;
+  const bool close_after = ex.close_after;
+  ex.conn = nullptr;
+  ex.route = nullptr;
+  ++ex.gen;
+  free_exchanges_.push_back(slot);
+  deliver(*conn, seq, close_after);
+}
+
+void HttpServer::deliver(Connection& conn, std::uint64_t seq,
+                         bool close_after) {
+  if (seq != conn.sent_seq) {
+    conn.parked.push_back(Parked{seq, wire_, close_after});
+    return;
+  }
+  conn.socket->send(wire_);
+  ++conn.sent_seq;
+  bool closed = close_after;
+  // Then every parked response that is now next in line.
+  while (!closed) {
+    auto it = std::find_if(conn.parked.begin(), conn.parked.end(),
+                           [&conn](const Parked& p) {
+                             return p.seq == conn.sent_seq;
+                           });
+    if (it == conn.parked.end()) break;
+    conn.socket->send(it->wire);
+    ++conn.sent_seq;
+    closed = it->close_after;
+    conn.parked.erase(it);
+  }
+  if (closed) conn.socket->close();
 }
 
 // ---------------------------------------------------------------------------
@@ -179,6 +224,7 @@ std::shared_ptr<HttpClient::PooledConn> HttpClient::conn_for(
   auto conn = std::make_shared<PooledConn>();
   conn->parser = std::make_shared<HttpParser>(HttpParser::Mode::kResponse);
   conn->socket = stack_.connect(server);
+  conn->host = server.to_string();
   stats_.counter(c_connections_opened_).add();
 
   std::weak_ptr<PooledConn> weak = conn;
@@ -215,27 +261,35 @@ std::shared_ptr<HttpClient::PooledConn> HttpClient::conn_for(
   return conn;
 }
 
-void HttpClient::request(net::Endpoint server, const HttpRequest& req,
-                         ResponseCallback cb) {
+void HttpClient::send(PooledConn& conn, const HttpRequest& req,
+                      ResponseCallback cb) {
   MCS_ASSERT(cb != nullptr,
              "every request must have a completion callback (errors are "
              "reported through it too)");
   MCS_ASSERT(!req.method.empty() && !req.path.empty(),
              "a request needs a method and a path");
-  auto conn = conn_for(server);
-  conn->waiters.push_back(std::move(cb));
+  conn.waiters.push_back(std::move(cb));
   stats_.counter(c_requests_).add();
-  conn->socket->send(req.serialize());
+  wire_.clear();
+  sim::BufWriter w{wire_};
+  req.serialize_to(w);
+  conn.socket->send(wire_);
+}
+
+void HttpClient::request(net::Endpoint server, const HttpRequest& req,
+                         ResponseCallback cb) {
+  send(*conn_for(server), req, std::move(cb));
 }
 
 void HttpClient::get(net::Endpoint server, const std::string& path,
                      ResponseCallback cb) {
   MCS_ASSERT(!path.empty(), "GET needs a target path");
-  HttpRequest req;
-  req.method = "GET";
-  req.path = path;
-  req.set_header("Host", server.to_string());
-  request(server, req, std::move(cb));
+  const std::shared_ptr<PooledConn> conn = conn_for(server);
+  get_.method = "GET";
+  get_.path = path;
+  get_.headers.clear();
+  get_.set_header("Host", conn->host);
+  send(*conn, get_, std::move(cb));
 }
 
 void HttpClient::reset_pool() {

@@ -10,6 +10,7 @@
 
 #include "host/http.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sim/stats.h"
 #include "transport/tcp.h"
 
@@ -58,23 +59,48 @@ class HttpServer {
     std::string prefix;
     AsyncHandler handler;
   };
-  // HTTP/1.1 keep-alive requires responses in request order even when
-  // handlers complete out of order (async DB round trips vs. static hits);
-  // per-request slots are flushed strictly FIFO.
-  struct PendingResponse {
+  // A response that finished ahead of an earlier request's on the same
+  // connection, held until the earlier ones are sent.
+  struct Parked {
+    std::uint64_t seq = 0;
     std::string wire;
-    bool ready = false;
     bool close_after = false;
   };
   struct Connection {
     transport::TcpSocket::Ptr socket;
     HttpParser parser{HttpParser::Mode::kRequest};
-    std::deque<std::shared_ptr<PendingResponse>> outbox;
+    std::string peer;  // remote endpoint text: every request's X-Peer value
+    // HTTP/1.1 keep-alive requires responses in request order even when
+    // handlers complete out of order (async DB round trips vs. static
+    // hits): requests are numbered as they arrive and answered strictly in
+    // that order.
+    std::uint64_t next_seq = 0;  // number of the next request to arrive
+    std::uint64_t sent_seq = 0;  // number of the next response to send
+    std::vector<Parked> parked;
+  };
+  // One request from dispatch to its response. Exchanges are pooled and
+  // addressed by index and generation, so the respond callback a handler
+  // gets captures three words (this, slot, gen): 16 bytes, which
+  // std::function stores inline.
+  struct Exchange {
+    std::shared_ptr<Connection> conn;
+    HttpRequest req;
+    const Route* route = nullptr;
+    obs::TraceContext req_ctx;
+    obs::TraceContext app;  // the application-program span, if routed
+    sim::Time app_start;
+    std::uint64_t seq = 0;
+    std::uint32_t gen = 0;  // bumped on release; stale responders fail it
+    bool close_after = false;
   };
 
   void on_accept(transport::TcpSocket::Ptr s);
-  void dispatch(const std::shared_ptr<Connection>& conn, HttpRequest&& req);
-  void flush_outbox(const std::shared_ptr<Connection>& conn);
+  void dispatch(const std::shared_ptr<Connection>& conn, HttpRequest& req);
+  std::uint32_t acquire_exchange();
+  void run_handler(std::uint32_t slot);
+  void finish(std::uint32_t slot, std::uint32_t gen, HttpResponse resp);
+  // Sends wire_ as response `seq` of `conn`, in request order.
+  void deliver(Connection& conn, std::uint64_t seq, bool close_after);
   const Route* match(const HttpRequest& req) const;
   sim::Counter& status_counter(int status);
 
@@ -87,6 +113,9 @@ class HttpServer {
   std::unordered_map<std::string, Content> content_;
   std::vector<Route> routes_;
   sim::Time processing_delay_;
+  std::deque<Exchange> exchanges_;  // deque: handlers hold `req` by reference
+  std::vector<std::uint32_t> free_exchanges_;
+  std::string wire_;  // the response being sent, reused across responses
   sim::StatsRegistry stats_;
   // Counter handles into stats_, resolved on first use (sim/stats.h).
   sim::CounterHandle c_connections_{"connections"};
@@ -134,13 +163,17 @@ class HttpClient {
     transport::TcpSocket::Ptr socket;
     std::shared_ptr<HttpParser> parser;
     std::deque<ResponseCallback> waiters;
+    std::string host;  // the server endpoint's text, for Host headers
     bool broken = false;
   };
 
   std::shared_ptr<PooledConn> conn_for(net::Endpoint server);
+  void send(PooledConn& conn, const HttpRequest& req, ResponseCallback cb);
 
   transport::TcpStack& stack_;
   std::unordered_map<net::Endpoint, std::shared_ptr<PooledConn>> pool_;
+  HttpRequest get_;   // get()'s request, refilled per call
+  std::string wire_;  // the request being sent, reused across requests
   sim::StatsRegistry stats_;
   // Counter handles into stats_, resolved on first use (sim/stats.h).
   sim::CounterHandle c_connections_opened_{"connections_opened"};

@@ -1,6 +1,6 @@
 #include "middleware/wap_gateway.h"
 
-#include <cstdlib>
+#include <climits>
 
 #include "middleware/translate.h"
 #include "obs/trace.h"
@@ -15,15 +15,21 @@ using sim::strf;
 HostResolver dotted_quad_resolver() {
   return [](const std::string& host,
             std::uint16_t port) -> std::optional<net::Endpoint> {
-    const auto parts = sim::split(host, '.');
-    if (parts.size() != 4) return std::nullopt;
+    // Exactly four non-empty '.'-separated parts, each an octet.
     std::uint32_t v = 0;
-    for (const auto& p : parts) {
-      if (p.empty()) return std::nullopt;
-      const long octet = std::strtol(p.c_str(), nullptr, 10);
+    std::size_t parts = 0;
+    std::size_t begin = 0;
+    for (std::size_t i = 0; i <= host.size(); ++i) {
+      if (i < host.size() && host[i] != '.') continue;
+      const sim::Slice part{host.data() + begin, i - begin};
+      if (++parts > 4 || part.empty()) return std::nullopt;
+      // strtol's reading of the part, saturated past the octet range.
+      const int octet = sim::atoi_view(part, 256);
       if (octet < 0 || octet > 255) return std::nullopt;
       v = (v << 8) | static_cast<std::uint32_t>(octet);
+      begin = i + 1;
     }
+    if (parts != 4) return std::nullopt;
     return net::Endpoint{net::IpAddress{v}, port};
   };
 }
@@ -57,19 +63,7 @@ std::optional<WspResponse> wsp_decode_response(const std::string& payload) {
     }
   }
   WspResponse r;
-  // atoi semantics: leading whitespace, optional sign, digit prefix.
-  std::size_t p = 0;
-  while (p < f[0].size() && sim::is_ascii_space(f[0][p])) ++p;
-  int sign = 1;
-  if (p < f[0].size() && (f[0][p] == '+' || f[0][p] == '-')) {
-    if (f[0][p] == '-') sign = -1;
-    ++p;
-  }
-  long long v = 0;
-  for (; p < f[0].size() && f[0][p] >= '0' && f[0][p] <= '9'; ++p) {
-    v = v * 10 + (f[0][p] - '0');
-  }
-  r.status = static_cast<int>(sign * v);
+  r.status = sim::atoi_view(f[0], INT_MAX);
   if (r.status == 0) return std::nullopt;
   if (nf > 1) r.content_type.assign(f[1].data(), f[1].size());
   r.body.assign(payload, nl + 1, std::string::npos);
@@ -188,17 +182,16 @@ void WapGateway::handle_request(const std::string& payload,
   }
   // Play the phone's cookies toward the origin server.
   const std::string origin = upstream->to_string();
-  host::HttpRequest up_req;
-  up_req.method = "GET";
-  up_req.path = parsed->path;
-  up_req.set_header("Host", origin);
-  up_req.set_header("User-Agent", "mcs-wap-gateway/1.0");
+  up_req_.path = parsed->path;
+  up_req_.headers.clear();
+  up_req_.set_header("Host", origin);
+  up_req_.set_header("User-Agent", "mcs-wap-gateway/1.0");
   if (const std::string cookies = phone_jars_[from].cookie_header(origin);
       !cookies.empty()) {
-    up_req.set_header("Cookie", cookies);
+    up_req_.set_header("Cookie", cookies);
   }
   obs::ActiveScope scope{gw};
-  http_.request(*upstream, up_req,
+  http_.request(*upstream, up_req_,
             [this, from, origin, gw, respond = std::move(respond)](
                 std::optional<host::HttpResponse> resp) mutable {
     if (!resp.has_value()) {
@@ -278,8 +271,8 @@ void IModeGateway::handle(const host::HttpRequest& req,
   };
   // The phone requests "/<host>:<port>/<path...>" through the gateway
   // (or passes an absolute URL in the path).
-  std::string target = req.path;
-  if (!target.empty() && target.front() == '/') target.erase(0, 1);
+  sim::Slice target = req.path;
+  if (!target.empty() && target.front() == '/') target.remove_prefix(1);
   const auto parsed = host::parse_url(target);
   if (!parsed.has_value()) {
     respond(host::HttpResponse::bad_request("bad target url"));
@@ -293,17 +286,16 @@ void IModeGateway::handle(const host::HttpRequest& req,
   // Cookies on behalf of the phone, keyed by its TCP endpoint.
   const std::string phone = req.header("X-Peer");
   const std::string origin = upstream->to_string();
-  host::HttpRequest up_req;
-  up_req.method = "GET";
-  up_req.path = parsed->path;
-  up_req.set_header("Host", origin);
-  up_req.set_header("User-Agent", "mcs-imode-gateway/1.0");
+  up_req_.path = parsed->path;
+  up_req_.headers.clear();
+  up_req_.set_header("Host", origin);
+  up_req_.set_header("User-Agent", "mcs-imode-gateway/1.0");
   if (const std::string cookies = phone_jars_[phone].cookie_header(origin);
       !cookies.empty()) {
-    up_req.set_header("Cookie", cookies);
+    up_req_.set_header("Cookie", cookies);
   }
   obs::ActiveScope scope{gw};
-  http_.request(*upstream, up_req,
+  http_.request(*upstream, up_req_,
             [this, phone, origin, gw, respond = std::move(respond)](
                 std::optional<host::HttpResponse> resp) mutable {
     if (!resp.has_value()) {

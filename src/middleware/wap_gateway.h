@@ -108,6 +108,7 @@ class WapGateway {
   HostResolver resolver_;
   WtpEndpoint wtp_;
   host::HttpClient http_;
+  host::HttpRequest up_req_;  // the origin request, refilled per request
   std::unordered_map<net::Endpoint, host::CookieJar> phone_jars_;
   // WTLS identity + one record channel per secured phone.
   security::DhKeyPair wtls_key_;
@@ -163,6 +164,7 @@ class IModeGateway {
   HostResolver resolver_;
   host::HttpServer server_;
   host::HttpClient http_;
+  host::HttpRequest up_req_;  // the origin request, refilled per request
   // Per-phone cookie jar, keyed by the phone's TCP endpoint (X-Peer).
   std::unordered_map<std::string, host::CookieJar> phone_jars_;
   Stats stats_;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdint>
 #include <string>
@@ -56,6 +57,24 @@ inline std::string_view trim_view(std::string_view s) {
   while (b < e && is_ascii_space(s[b])) ++b;
   while (e > b && is_ascii_space(s[e - 1])) --e;
   return std::string_view{s.data() + b, e - b};
+}
+
+// atoi over a view (leading whitespace, optional sign, digit prefix), with
+// the magnitude saturated at `limit` so that no overflow can wrap back into
+// range: a port of 2^32 + 80 reads as `limit`, not 80.
+inline int atoi_view(std::string_view s, int limit) {
+  std::size_t i = 0;
+  while (i < s.size() && is_ascii_space(s[i])) ++i;
+  int sign = 1;
+  if (i < s.size() && (s[i] == '+' || s[i] == '-')) {
+    if (s[i] == '-') sign = -1;
+    ++i;
+  }
+  long long v = 0;
+  for (; i < s.size() && s[i] >= '0' && s[i] <= '9'; ++i) {
+    v = std::min<long long>(v * 10 + (s[i] - '0'), limit);
+  }
+  return sign * static_cast<int>(v);
 }
 
 // FNV-1a 64-bit hash; used for checksums and non-cryptographic MACs.

@@ -210,6 +210,74 @@ TEST_F(WebFixture, PipelinedResponsesStayInRequestOrder) {
   EXPECT_EQ(client->stats().counter("connections_opened").value(), 1u);
 }
 
+TEST_F(WebFixture, ResponsesFinishingInReverseStillGoOutInRequestOrder) {
+  server->route_async("GET", "/slow",
+                      [this](const HttpRequest&, auto respond) {
+                        sim.after(sim::Time::millis(300), [respond] {
+                          respond(HttpResponse::make(200, "text/plain",
+                                                     "slow"));
+                        });
+                      });
+  server->route_async("GET", "/medium",
+                      [this](const HttpRequest&, auto respond) {
+                        sim.after(sim::Time::millis(100), [respond] {
+                          respond(HttpResponse::make(200, "text/plain",
+                                                     "medium"));
+                        });
+                      });
+  server->add_content("/fast", "text/plain", "fast");
+  std::vector<std::string> order;
+  for (const char* path : {"/slow", "/medium", "/fast", "/medium"}) {
+    client->get(server_ep(), path, [&](auto r) {
+      ASSERT_TRUE(r.has_value());
+      order.push_back(r->body);
+    });
+  }
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"slow", "medium", "fast",
+                                             "medium"}));
+  EXPECT_EQ(server->stats().counter("requests").value(), 4u);
+  EXPECT_EQ(server->stats().counter("status_200").value(), 4u);
+}
+
+TEST_F(WebFixture, BadContentLengthGets400AndTheConnectionCloses) {
+  server->add_content("/a", "text/plain", "A");
+  auto sock = client_tcp->connect(server_ep());
+  std::string received;
+  bool closed = false;
+  sock->on_data = [&](const std::string& bytes) { received += bytes; };
+  sock->on_remote_close = [&] {
+    closed = true;
+    sock->close();
+  };
+  // "-5" used to wrap to a huge length: the body swallowed the pipelined
+  // GET and the leftovers failed as a malformed request line.
+  sock->send(
+      "POST /a HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+      "GET /a HTTP/1.1\r\n\r\n");
+  sim.run();
+  EXPECT_TRUE(closed);
+  EXPECT_EQ(received.rfind("HTTP/1.1 400 Bad Request\r\n", 0), 0u)
+      << received;
+  EXPECT_EQ(received.find("HTTP/1.1", 1), std::string::npos) << received;
+  EXPECT_EQ(server->stats().counter("parse_errors").value(), 1u);
+  EXPECT_EQ(server->stats().counter("requests").value(), 0u);
+}
+
+TEST_F(WebFixture, AnsweringARequestTwiceAborts) {
+  server->route_async("GET", "/twice",
+                      [](const HttpRequest&, auto respond) {
+                        respond(HttpResponse::make(200, "text/plain", "1"));
+                        respond(HttpResponse::make(200, "text/plain", "2"));
+                      });
+  EXPECT_DEATH(
+      {
+        client->get(server_ep(), "/twice", [](auto) {});
+        sim.run();
+      },
+      "mcs contract violation");
+}
+
 TEST_F(WebFixture, AppServerInstallsPrograms) {
   AppServer::Context ctx;
   ctx.sim = &sim;

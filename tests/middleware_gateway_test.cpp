@@ -79,6 +79,19 @@ TEST(ResolverTest, DottedQuad) {
   EXPECT_FALSE(r("10.0.0.999", 80).has_value());
 }
 
+// Each part reads as strtol reads it; the part count and emptiness rules
+// are those of splitting on '.'.
+TEST(ResolverTest, DottedQuadEdgeCasesMatchStrtol) {
+  const auto r = dotted_quad_resolver();
+  EXPECT_FALSE(r("10.0.0.5.", 80).has_value());   // five parts
+  EXPECT_FALSE(r(".10.0.0", 80).has_value());     // empty part
+  EXPECT_FALSE(r("1..2.3", 80).has_value());
+  EXPECT_FALSE(r("10.0.0.-1", 80).has_value());
+  EXPECT_FALSE(r("10.0.0.4294967301", 80).has_value());  // no wrap to 5
+  EXPECT_EQ(r(" 10.0.0.5x", 80)->addr, (net::IpAddress{10, 0, 0, 5}));
+  EXPECT_EQ(r("10.-0.a.+7", 80)->addr, (net::IpAddress{10, 0, 0, 7}));
+}
+
 TEST_F(GatewayFixture, WtpInvokeResultRoundTrip) {
   WtpEndpoint responder{*gw_udp, 9300};
   WtpEndpoint initiator{*phone_udp, 9300};

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdlib>
 
 namespace mcs::sim {
 namespace {
@@ -31,6 +32,17 @@ TEST(UtilTest, Split) {
   EXPECT_EQ(split("", ','), (std::vector<std::string>{""}));
   EXPECT_EQ(split("abc", ','), (std::vector<std::string>{"abc"}));
   EXPECT_EQ(split("a,", ','), (std::vector<std::string>{"a", ""}));
+}
+
+TEST(UtilTest, AtoiViewMatchesAtoiInRangeAndSaturates) {
+  for (const char* s : {"42", " \t-17", "+8080", "80abc", "", "abc", "-0",
+                        "  +", "2147483647"}) {
+    EXPECT_EQ(atoi_view(s, 2147483647), std::atoi(s)) << s;
+  }
+  EXPECT_EQ(atoi_view("4294967376", 65536), 65536);
+  EXPECT_EQ(atoi_view("-99999999999999999999", 256), -256);
+  // A view ends where it ends, not at a NUL.
+  EXPECT_EQ(atoi_view(std::string_view{"12345", 3}, 1000), 123);
 }
 
 TEST(UtilTest, Trim) {
