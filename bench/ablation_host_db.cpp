@@ -145,8 +145,8 @@ void BM_EmbeddedSync(benchmark::State& state) {
       req.path = sim::strf("/order?n=%d&payload=customer-item-qty2", left);
       online_bytes += req.serialize().size();
       client.request({hq2->addr(), 80}, req,
-                     [&, left](std::optional<host::HttpResponse> r) {
-                       if (r.has_value()) online_bytes += 60;
+                     [&, left](host::HttpResponse* r) {
+                       if (r != nullptr) online_bytes += 60;
                        issue(left - 1);
                      });
     };

@@ -3,6 +3,8 @@
 #include <cstdlib>
 
 #include "sim/arena.h"
+#include "sim/contract.h"
+#include "sim/random.h"
 #include "sim/util.h"
 
 namespace mcs::core {
@@ -23,6 +25,47 @@ namespace {
 std::string html_page(sim::Slice title, sim::Slice body) {
   return sim::cat("<html><head><title>", title, "</title></head><body><h1>",
                   title, "</h1>", body, "</body></html>");
+}
+
+// Media track `track`: the bytes of
+//   html_page("Track <track>", "<p>MEDIA-BEGIN " + blob + " MEDIA-END</p>")
+// for a blob of `letters` letters A-Z (a multiple of 8), in one allocation:
+// the fixed text is copied in around a gap that the letters fill in place.
+// Each word of the SplitMix64 stream `state` gives eight letters, one per
+// byte from the low end, as 'A' + ((byte * 26) >> 8). Since
+// 256 = 26 * 9 + 22, that map is slightly biased: G, M, T and Z have weight
+// 9/256, the other 22 letters 10/256. Nothing reads the letters, only
+// their count and alphabet.
+std::string media_page(int track, std::size_t letters, std::uint64_t& state) {
+  MCS_ASSERT(letters % 8 == 0, "media letters come eight to a word");
+  const sim::NumStr n = sim::u64s(static_cast<std::uint64_t>(track));
+  const sim::Slice head[] = {"<html><head><title>Track ", n,
+                             "</title></head><body><h1>Track ", n,
+                             "</h1><p>MEDIA-BEGIN "};
+  constexpr sim::Slice kTail = " MEDIA-END</p></body></html>";
+  std::size_t size = letters + kTail.size();
+  for (const sim::Slice s : head) size += s.size();
+  std::string page;
+  page.reserve(size);
+  for (const sim::Slice s : head) page.append(s);
+  const std::size_t at = page.size();
+  page.resize(at + letters);
+  char* out = page.data() + at;
+  // The map runs on four bytes at once, in the 16-bit lanes of the even and
+  // of the odd bytes: 255 * 26 < 2^16, so no lane carries into the next.
+  // Adding 'A' (0x41) to every byte carries nowhere either: 25 + 65 < 256.
+  constexpr std::uint64_t kLanes = 0x00ff00ff00ff00ffull;
+  for (std::size_t done = 0; done < letters; done += 8) {
+    const std::uint64_t w = sim::splitmix64(state);
+    const std::uint64_t even = (((w & kLanes) * 26) >> 8) & kLanes;
+    const std::uint64_t odd = ((((w >> 8) & kLanes) * 26) >> 8) & kLanes;
+    const std::uint64_t v = (even | (odd << 8)) + 0x4141414141414141ull;
+    for (std::size_t k = 0; k < 8; ++k) {
+      out[done + k] = static_cast<char>(v >> (8 * k));
+    }
+  }
+  page.append(kTail);
+  return page;
 }
 
 // ---------------------------------------------------------------------------
@@ -355,19 +398,13 @@ class EntertainmentApp final : public Application {
 
   void install(AppEnvironment env) override {
     env_ = env;
-    sim::Rng rng{env.seed ^ 0xE47E47ull};
+    // "Media" payloads: sized blobs of printable noise inside a page. One
+    // draw of the app's seeded stream keys the letter stream of all five.
+    std::uint64_t stream = sim::Rng{env.seed ^ 0xE47E47ull}.next_u64();
     for (int i = 1; i <= 5; ++i) {
-      // "Media" payloads: sized blobs of printable noise inside a page.
-      std::string blob;
       const std::size_t size = 8'000 + 4'000 * static_cast<std::size_t>(i);
-      blob.reserve(size);
-      for (std::size_t b = 0; b < size; ++b) {
-        blob.push_back(static_cast<char>('A' + rng.uniform_int(0, 25)));
-      }
       env.web->add_content(strf("/media/track%d", i), "text/html",
-                           html_page(strf("Track %d", i),
-                                     "<p>MEDIA-BEGIN " + blob +
-                                         " MEDIA-END</p>"));
+                           media_page(i, size, stream));
     }
   }
 

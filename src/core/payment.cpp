@@ -189,12 +189,12 @@ void PaymentCoordinator::charge(const std::string& idempotency_key,
       account.c_str(), amount);
   http_.request(bank_, bank_req_,
                 [this, idempotency_key, account, amount, item,
-                 finish](std::optional<host::HttpResponse> resp) mutable {
-    if (!resp.has_value() || resp->status != 200 ||
+                 finish](host::HttpResponse* resp) mutable {
+    if (resp == nullptr || resp->status != 200 ||
         !sim::starts_with(resp->body, "VOTE-YES")) {
       Outcome o;
-      o.failure = resp.has_value() ? "prepare-refused: " + resp->body
-                                   : "bank-unreachable";
+      o.failure = resp != nullptr ? "prepare-refused: " + resp->body
+                                  : "bank-unreachable";
       // Best-effort abort so the reservation (if any) is released early.
       bank_req_.path.clear();
       sim::BufWriter{bank_req_.path}.put("/bank/abort?txn=").put(
@@ -208,9 +208,9 @@ void PaymentCoordinator::charge(const std::string& idempotency_key,
         idempotency_key);
     http_.request(bank_, bank_req_,
                   [this, idempotency_key, account, amount, item,
-                   finish](std::optional<host::HttpResponse> resp2) mutable {
+                   finish](host::HttpResponse* resp2) mutable {
       Outcome o;
-      if (!resp2.has_value() || resp2->status != 200) {
+      if (resp2 == nullptr || resp2->status != 200) {
         o.failure = "commit-failed";
         finish(std::move(o));
         return;

@@ -44,11 +44,10 @@ void DesktopClient::fetch(const std::string& url,
   }
   const sim::Time start = sim_.now();
   http_.get(*ep, parsed->path,
-            [this, start, cb = std::move(cb)](
-                std::optional<host::HttpResponse> resp) {
+            [this, start, cb = std::move(cb)](host::HttpResponse* resp) {
     FetchResult f;
     f.latency = sim_.now() - start;
-    if (resp.has_value()) {
+    if (resp != nullptr) {
       f.ok = resp->status == 200;
       f.status = resp->status;
       // Desktop browsers read HTML; strip markup for the app layer too.

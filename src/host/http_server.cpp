@@ -234,7 +234,7 @@ std::shared_ptr<HttpClient::PooledConn> HttpClient::conn_for(
     stats_.counter(c_responses_).add();
     auto cb = std::move(c->waiters.front());
     c->waiters.pop_front();
-    cb(std::move(resp));
+    cb(&resp);
   };
   conn->socket->on_data = [c = conn](const std::string& bytes) {
     c->parser->feed(bytes);
@@ -251,7 +251,7 @@ std::shared_ptr<HttpClient::PooledConn> HttpClient::conn_for(
     }
     for (auto& cb : waiters) {
       stats_.counter(c_failed_requests_).add();
-      cb(std::nullopt);
+      cb(nullptr);
     }
   };
   conn->socket->on_remote_close = fail_all;

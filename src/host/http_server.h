@@ -39,6 +39,11 @@ class HttpServer {
   bool has_content(const std::string& path) const {
     return content_.contains(path);
   }
+  // The body stored at `path`, or null when there is none.
+  const std::string* content_body(const std::string& path) const {
+    const auto it = content_.find(path);
+    return it == content_.end() ? nullptr : &it->second.body;
+  }
 
   // Dynamic routes: longest matching (method, path-prefix) wins.
   void route(const std::string& method, const std::string& path_prefix,
@@ -139,14 +144,18 @@ class HttpServer {
 // (keep-alive); used by gateways, browsers and app servers.
 class HttpClient {
  public:
-  using ResponseCallback = std::function<void(std::optional<HttpResponse>)>;
+  // Called with the response, or with null on connection failure. The
+  // response is the connection parser's scratch message, valid only during
+  // the call: a callee may move parts out (say, the body) but must not keep
+  // the pointer; the parser reuses the rest of its buffers for the next one.
+  using ResponseCallback = std::function<void(HttpResponse*)>;
 
   explicit HttpClient(transport::TcpStack& stack) : stack_{stack} {}
   HttpClient(const HttpClient&) = delete;
   HttpClient& operator=(const HttpClient&) = delete;
 
   // Issue a request; reuses an existing connection to `server` when one is
-  // open, otherwise dials. Calls back with nullopt on connection failure.
+  // open, otherwise dials. Calls back with null on connection failure.
   void request(net::Endpoint server, const HttpRequest& req,
                ResponseCallback cb);
   void get(net::Endpoint server, const std::string& path, ResponseCallback cb);

@@ -193,8 +193,8 @@ void WapGateway::handle_request(const std::string& payload,
   obs::ActiveScope scope{gw};
   http_.request(*upstream, up_req_,
             [this, from, origin, gw, respond = std::move(respond)](
-                std::optional<host::HttpResponse> resp) mutable {
-    if (!resp.has_value()) {
+                host::HttpResponse* resp) mutable {
+    if (resp == nullptr) {
       ++stats_.upstream_failures;
       respond(wsp_encode_response(502, "text/plain", "origin unreachable"));
       return;
@@ -297,8 +297,8 @@ void IModeGateway::handle(const host::HttpRequest& req,
   obs::ActiveScope scope{gw};
   http_.request(*upstream, up_req_,
             [this, phone, origin, gw, respond = std::move(respond)](
-                std::optional<host::HttpResponse> resp) mutable {
-    if (!resp.has_value()) {
+                host::HttpResponse* resp) mutable {
+    if (resp == nullptr) {
       ++stats_.upstream_failures;
       respond(host::HttpResponse::make(502, "text/plain", "origin down"));
       return;

@@ -59,6 +59,17 @@ class Rng {
   std::mt19937_64 engine_;
 };
 
+// SplitMix64 (Steele, Lea and Flood, 2014): the next 64-bit output of the
+// stream whose state is `state`, one add and three xor-shift-multiply
+// rounds. For bulk filler bytes keyed by one Rng draw, where Rng's engine
+// would cost several times as much per word.
+inline std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
 // Zipf-distributed ranks in [1, n]; precomputes the CDF once. Models skewed
 // content popularity (hot products, popular pages).
 class ZipfGenerator {

@@ -91,8 +91,8 @@ void MicroBrowser::browse(const std::string& url, PageCallback cb) {
   obs::ActiveScope scope{page};
   http_->get(cfg_.gateway, path,
              [this, url, started, page, cb = std::move(done)](
-                 std::optional<host::HttpResponse> resp) mutable {
-    if (!resp.has_value()) {
+                 host::HttpResponse* resp) mutable {
+    if (resp == nullptr) {
       stats_.counter(c_failures_).add();
       PageResult r;
       r.total_time = station_.sim().now() - started;

@@ -164,5 +164,71 @@ TEST(AppSequencesTest, InventoryReportsAreReadableByDispatch) {
   EXPECT_GE(sys.database().table("positions")->size(), 2u);
 }
 
+// The entertainment app's five media pages at `seed`, as installed on the
+// web server: /media/track1 .. /media/track5.
+std::vector<std::string> media_pages(std::uint64_t seed) {
+  sim::Simulator sim;
+  McSystem sys{sim};
+  AppEnvironment env = env_for_mc(sys, sim);
+  env.seed = seed;
+  auto apps = make_all_applications();
+  apps[3]->install(env);  // Entertainment
+  std::vector<std::string> pages;
+  for (int i = 1; i <= 5; ++i) {
+    const std::string* body =
+        sys.web_server().content_body(sim::strf("/media/track%d", i));
+    pages.push_back(body != nullptr ? *body : std::string{});
+  }
+  return pages;
+}
+
+TEST(MediaPagesTest, EachPageWrapsItsLettersInTheHtmlPageWrapper) {
+  const auto pages = media_pages(11);
+  ASSERT_EQ(pages.size(), 5u);
+  for (int i = 1; i <= 5; ++i) {
+    const std::string& page = pages[static_cast<std::size_t>(i - 1)];
+    // html_page("Track i", "<p>MEDIA-BEGIN " + blob + " MEDIA-END</p>").
+    const std::string prefix = sim::strf(
+        "<html><head><title>Track %d</title></head><body><h1>Track %d</h1>"
+        "<p>MEDIA-BEGIN ",
+        i, i);
+    const std::string suffix = " MEDIA-END</p></body></html>";
+    const std::size_t letters = 8'000 + 4'000 * static_cast<std::size_t>(i);
+    ASSERT_EQ(page.size(), prefix.size() + letters + suffix.size())
+        << "track " << i;
+    EXPECT_EQ(page.substr(0, prefix.size()), prefix) << "track " << i;
+    EXPECT_EQ(page.substr(page.size() - suffix.size()), suffix)
+        << "track " << i;
+    bool seen[26] = {};
+    for (std::size_t b = prefix.size(); b < prefix.size() + letters; ++b) {
+      const char c = page[b];
+      ASSERT_TRUE(c >= 'A' && c <= 'Z')
+          << "track " << i << " byte " << b << " is " << int{c};
+      seen[c - 'A'] = true;
+    }
+    for (int l = 0; l < 26; ++l) {
+      EXPECT_TRUE(seen[l]) << "track " << i << " lacks "
+                           << static_cast<char>('A' + l);
+    }
+  }
+}
+
+TEST(MediaPagesTest, PagesAreDeterministicPerSeed) {
+  const auto a = media_pages(11);
+  EXPECT_EQ(media_pages(11), a);
+  const auto b = media_pages(12);
+  ASSERT_EQ(b.size(), a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    // Same wrapper and length, different letters.
+    EXPECT_EQ(b[i].size(), a[i].size());
+    EXPECT_NE(b[i], a[i]) << "track " << i + 1;
+  }
+}
+
+// Pins the letter generator at seed 11: any change to it shows up here.
+TEST(MediaPagesTest, TrackOneDigestIsPinned) {
+  EXPECT_EQ(sim::fnv1a(media_pages(11)[0]), 0x9df6ba672c0d5c6dull);
+}
+
 }  // namespace
 }  // namespace mcs::core

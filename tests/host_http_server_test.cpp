@@ -22,6 +22,13 @@ struct WebFixture : public ::testing::Test {
 
   net::Endpoint server_ep() { return {server_node->addr(), 80}; }
 
+  // A response callback that copies the response, if any, into `into`.
+  static HttpClient::ResponseCallback keep(std::optional<HttpResponse>& into) {
+    return [&into](HttpResponse* r) {
+      if (r != nullptr) into = *r;
+    };
+  }
+
   sim::Simulator sim;
   net::Network network;
   net::Node* client_node;
@@ -35,7 +42,7 @@ struct WebFixture : public ::testing::Test {
 TEST_F(WebFixture, ServesStaticContent) {
   server->add_content("/index.html", "text/html", "<html>hello</html>");
   std::optional<HttpResponse> got;
-  client->get(server_ep(), "/index.html", [&](auto r) { got = r; });
+  client->get(server_ep(), "/index.html", keep(got));
   sim.run();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->status, 200);
@@ -46,7 +53,7 @@ TEST_F(WebFixture, ServesStaticContent) {
 
 TEST_F(WebFixture, Returns404ForUnknownPath) {
   std::optional<HttpResponse> got;
-  client->get(server_ep(), "/missing", [&](auto r) { got = r; });
+  client->get(server_ep(), "/missing", keep(got));
   sim.run();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->status, 404);
@@ -60,8 +67,8 @@ TEST_F(WebFixture, DynamicRouteAndLongestPrefixWins) {
     return HttpResponse::make(200, "text/plain", "cart");
   });
   std::optional<HttpResponse> r1, r2;
-  client->get(server_ep(), "/api/cart?id=1", [&](auto r) { r1 = r; });
-  client->get(server_ep(), "/api/other", [&](auto r) { r2 = r; });
+  client->get(server_ep(), "/api/cart?id=1", keep(r1));
+  client->get(server_ep(), "/api/other", keep(r2));
   sim.run();
   ASSERT_TRUE(r1 && r2);
   EXPECT_EQ(r1->body, "cart");
@@ -77,10 +84,10 @@ TEST_F(WebFixture, MethodsAreDistinct) {
   req.method = "POST";
   req.path = "/submit";
   req.body = "payload";
-  client->request(server_ep(), req, [&](auto r) { got = r; });
+  client->request(server_ep(), req, keep(got));
 
   std::optional<HttpResponse> wrong;
-  client->get(server_ep(), "/submit", [&](auto r) { wrong = r; });
+  client->get(server_ep(), "/submit", keep(wrong));
   sim.run();
   ASSERT_TRUE(got && wrong);
   EXPECT_EQ(got->status, 201);
@@ -107,7 +114,7 @@ TEST_F(WebFixture, ConnectionCloseHeaderClosesAfterResponse) {
   req.path = "/a";
   req.set_header("Connection", "close");
   std::optional<HttpResponse> got;
-  client->request(server_ep(), req, [&](auto r) { got = r; });
+  client->request(server_ep(), req, keep(got));
   sim.run();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->header("connection"), "close");
@@ -124,7 +131,7 @@ TEST_F(WebFixture, AsyncHandlerRespondsLater) {
   std::optional<HttpResponse> got;
   sim::Time when;
   client->get(server_ep(), "/slow", [&](auto r) {
-    got = r;
+    if (r) got = *r;
     when = sim.now();
   });
   sim.run();
@@ -147,7 +154,7 @@ TEST_F(WebFixture, FailedConnectionReportsNullopt) {
   bool called = false;
   client->get({server_node->addr(), 81}, "/x", [&](auto r) {
     called = true;
-    EXPECT_FALSE(r.has_value());
+    EXPECT_EQ(r, nullptr);
   });
   sim.run();
   EXPECT_TRUE(called);
@@ -196,11 +203,11 @@ TEST_F(WebFixture, PipelinedResponsesStayInRequestOrder) {
   server->add_content("/fast", "text/plain", "fast");
   std::vector<std::string> order;
   client->get(server_ep(), "/slow", [&](auto r) {
-    ASSERT_TRUE(r.has_value());
+    ASSERT_NE(r, nullptr);
     order.push_back(r->body);
   });
   client->get(server_ep(), "/fast", [&](auto r) {
-    ASSERT_TRUE(r.has_value());
+    ASSERT_NE(r, nullptr);
     order.push_back(r->body);
   });
   sim.run();
@@ -208,6 +215,24 @@ TEST_F(WebFixture, PipelinedResponsesStayInRequestOrder) {
   EXPECT_EQ(order[0], "slow");
   EXPECT_EQ(order[1], "fast");
   EXPECT_EQ(client->stats().counter("connections_opened").value(), 1u);
+}
+
+TEST_F(WebFixture, CalleeMayMoveTheBodyOutOfAPipelinedResponse) {
+  server->add_content("/a", "text/plain", "first body");
+  server->add_content("/b", "text/plain", "second");
+  std::vector<std::string> bodies;
+  std::vector<std::string> types;
+  for (const char* path : {"/a", "/b", "/a"}) {
+    client->get(server_ep(), path, [&](HttpResponse* r) {
+      ASSERT_NE(r, nullptr);
+      types.push_back(r->header("Content-Type"));
+      bodies.push_back(std::move(r->body));
+    });
+  }
+  sim.run();
+  EXPECT_EQ(bodies, (std::vector<std::string>{"first body", "second",
+                                              "first body"}));
+  EXPECT_EQ(types, (std::vector<std::string>(3, "text/plain")));
 }
 
 TEST_F(WebFixture, ResponsesFinishingInReverseStillGoOutInRequestOrder) {
@@ -229,7 +254,7 @@ TEST_F(WebFixture, ResponsesFinishingInReverseStillGoOutInRequestOrder) {
   std::vector<std::string> order;
   for (const char* path : {"/slow", "/medium", "/fast", "/medium"}) {
     client->get(server_ep(), path, [&](auto r) {
-      ASSERT_TRUE(r.has_value());
+      ASSERT_NE(r, nullptr);
       order.push_back(r->body);
     });
   }
@@ -290,7 +315,7 @@ TEST_F(WebFixture, AppServerInstallsPrograms) {
               });
   EXPECT_EQ(app.installed_programs(), 1u);
   std::optional<HttpResponse> got;
-  client->get(server_ep(), "/app/hello?name=bob", [&](auto r) { got = r; });
+  client->get(server_ep(), "/app/hello?name=bob", keep(got));
   sim.run();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->body, "hello bob");

@@ -252,7 +252,7 @@ TEST_F(GatewayFixture, IModeGatewayServesChtml) {
   std::optional<host::HttpResponse> got;
   phone_http.get({gateway->addr(), kIModeGatewayPort},
                  "/" + web_host() + "/index.html",
-                 [&](std::optional<host::HttpResponse> r) { got = r; });
+                 [&](host::HttpResponse* r) { if (r) got = *r; });
   sim.run();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->status, 200);
@@ -269,8 +269,8 @@ TEST_F(GatewayFixture, IModePersistentConnectionHandlesManyRequests) {
   for (int i = 0; i < 5; ++i) {
     phone_http.get({gateway->addr(), kIModeGatewayPort},
                    "/" + web_host() + "/index.html",
-                   [&](std::optional<host::HttpResponse> r) {
-                     if (r.has_value() && r->status == 200) ++done;
+                   [&](host::HttpResponse* r) {
+                     if (r != nullptr && r->status == 200) ++done;
                    });
   }
   sim.run();
@@ -334,7 +334,7 @@ struct MemoFixture : GatewayFixture {
     std::optional<host::HttpResponse> got;
     phone_http.get({gateway->addr(), kIModeGatewayPort},
                    "/" + web_host() + path,
-                   [&](std::optional<host::HttpResponse> r) { got = r; });
+                   [&](host::HttpResponse* r) { if (r) got = *r; });
     sim.run();
     return got.has_value() && got->status == 200 ? got->body : "<failed>";
   }

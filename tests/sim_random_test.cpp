@@ -95,6 +95,15 @@ TEST(RngTest, WeightedIndexRespectsWeights) {
   EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.3);
 }
 
+// The first outputs of the published SplitMix64 reference from state 0.
+TEST(SplitMix64Test, MatchesTheReferenceStream) {
+  std::uint64_t state = 0;
+  EXPECT_EQ(splitmix64(state), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(splitmix64(state), 0x6e789e6aa1b965f4ull);
+  EXPECT_EQ(splitmix64(state), 0x06c45d188009454full);
+  EXPECT_EQ(state, 3 * 0x9e3779b97f4a7c15ull);
+}
+
 TEST(ZipfTest, RanksWithinBounds) {
   Rng rng{31};
   ZipfGenerator zipf{100, 0.9};

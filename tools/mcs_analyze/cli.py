@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import fnmatch
+import hashlib
 import json
 import pickle
 import sys
@@ -59,11 +60,13 @@ def collect_files(roots) -> list:
 
 # Bump when the structural model or internal frontend changes shape, so a
 # stale cache from an older tool version is ignored rather than mis-decoded.
-MODEL_CACHE_VERSION = 2  # v2: arena-escape annotations on the model records
+# v2: arena-escape annotations on the model records; v3: entries keyed on a
+# digest of the file's bytes instead of (mtime_ns, size).
+MODEL_CACHE_VERSION = 3
 
 
 def _load_model_cache(path: Path) -> dict:
-    """{resolved path str: (mtime_ns, size, FileModel)}; {} when absent or
+    """{resolved path str: (content digest, FileModel)}; {} when absent or
     written by a different tool version."""
     try:
         with open(path, "rb") as fh:
@@ -117,16 +120,18 @@ def build_project(files, frontend: str, compile_commands,
             models.append(frontend_clang.build_file_model(
                 path, rel, text, args))
             continue
+        # Keyed on the bytes, not on (mtime, size): a same-size edit within
+        # the file system's mtime granularity, or one whose mtime is later
+        # restored, must not reuse the old model.
         key = str(path.resolve())
-        st = path.stat()
+        digest = hashlib.blake2b(path.read_bytes(), digest_size=16).digest()
         hit = cache.get(key)
-        if hit is not None and hit[0] == st.st_mtime_ns \
-                and hit[1] == st.st_size:
-            fm = hit[2]
+        if hit is not None and hit[0] == digest:
+            fm = hit[1]
         else:
             text = path.read_text(encoding="utf-8", errors="replace")
             fm = frontend_internal.build_file_model(path, rel, text)
-        fresh[key] = (st.st_mtime_ns, st.st_size, fm)
+        fresh[key] = (digest, fm)
         models.append(fm)
     if cache_path is not None and not use_clang:
         _save_model_cache(cache_path, fresh)
@@ -182,8 +187,8 @@ def main(argv) -> int:
                          "parsed so call-graph checks stay whole-program)")
     ap.add_argument("--model-cache", type=Path, default=None, metavar="FILE",
                     help="pickle cache of parsed file models, keyed by "
-                         "mtime+size; shares parsing between consecutive "
-                         "runs (internal frontend only)")
+                         "a digest of each file's bytes; shares parsing "
+                         "between consecutive runs (internal frontend only)")
     ap.add_argument("--frontend", choices=("auto", "internal", "clang"),
                     default="auto",
                     help="auto uses clang.cindex when importable, else the "

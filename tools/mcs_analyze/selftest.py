@@ -8,7 +8,9 @@ missed or spurious expectation.
 
 from __future__ import annotations
 
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -108,6 +110,24 @@ def check_callgraph(failures):
                         f"{sorted(reached)}, missing {sorted(want - reached)}")
 
 
+def check_model_cache(failures):
+    """A file rewritten with different same-size bytes, its mtime restored,
+    must be re-parsed, not served from the --model-cache pickle."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "edited.cpp"
+        cache = Path(tmp) / "model.pkl"
+        src.write_text("void alpha() {}\n")
+        st = src.stat()
+        cli.build_project([src], "internal", None, cache)
+        src.write_text("void bravo() {}\n")
+        os.utime(src, ns=(st.st_atime_ns, st.st_mtime_ns))
+        project, _ = cli.build_project([src], "internal", None, cache)
+        names = sorted(project.function_index)
+        if names != ["bravo"]:
+            failures.append(f"model cache: edited file kept a stale model "
+                            f"(functions {names}, want ['bravo'])")
+
+
 def main() -> int:
     failures = []
 
@@ -144,6 +164,7 @@ def main() -> int:
                         f"{f.path}:{f.line}: {f.message}")
 
     check_callgraph(failures)
+    check_model_cache(failures)
 
     # Coverage guard: every check family must have at least one firing
     # fixture, so a check that silently stops firing fails this test.

@@ -5,8 +5,10 @@ Runs a base and a changed build of perfbench/perfbench.cpp on the same
 workload, one pair per seed. The order alternates pair by pair (base
 first on even pairs, change first on odd ones), so drift in machine load
 hits both sides alike. Prints each pair's values, each side's median and
-quartiles, and how many pairs the change wins on the chosen metric
-(lower is better: wall_us_per_txn, setup_s).
+quartiles, IQR and how many pairs the change wins (lower is better) for
+each timed metric the runs report, wall_us_per_txn and setup_s, from the
+same runs. --metric picks the headline metric, whose values are printed
+per pair.
 
 A performance change must not change the simulated system: the script
 fails when sim_mean_ms, sim_p95_ms or goodput_tps differ between the two
@@ -34,6 +36,8 @@ import sys
 
 # End-to-end metrics a perf-only change must leave bit-identical.
 SIM_METRICS = ("sim_mean_ms", "sim_p95_ms", "goodput_tps")
+# Wall-clock metrics summarised for every run (lower is better).
+TIMED_METRICS = ("wall_us_per_txn", "setup_s")
 
 
 def die(msg: str) -> None:
@@ -85,9 +89,10 @@ def main() -> int:
     if args.pairs < 1 or args.seconds < 1:
         ap.error("--pairs and --seconds must be positive")
 
-    base_vals: list[float] = []
-    change_vals: list[float] = []
-    wins = 0
+    # Summary order: the headline metric last, so its verdict ends the
+    # report.
+    timed = [m for m in TIMED_METRICS if m != args.metric] + [args.metric]
+    vals = {m: {"base": [], "change": []} for m in timed}
     problems: list[str] = []
     print(f"{'pair':>4} {'seed':>5} {'first':>6} {'base':>12} "
           f"{'change':>12} {'delta':>8}")
@@ -109,24 +114,28 @@ def main() -> int:
             if b != c:
                 problems.append(f"seed {seed}: {m} differs: base {b!r}, "
                                 f"change {c!r}")
-        b = value(results["base"], args.metric)
-        c = value(results["change"], args.metric)
-        base_vals.append(b)
-        change_vals.append(c)
-        wins += 1 if c < b else 0
+        for m in timed:
+            for side in ("base", "change"):
+                vals[m][side].append(value(results[side], m))
+        b = vals[args.metric]["base"][-1]
+        c = vals[args.metric]["change"][-1]
         delta = (c - b) / b * 100.0 if b else float("nan")
         print(f"{i + 1:>4} {seed:>5} {order[0]:>6} {b:>12.6g} {c:>12.6g} "
               f"{delta:>+7.1f}%")
 
-    for side, xs in (("base", base_vals), ("change", change_vals)):
-        q1, med, q3 = quartiles(xs)
-        print(f"{side:>6}: median {med:.6g}  q1 {q1:.6g}  q3 {q3:.6g}  "
-              f"iqr {q3 - q1:.6g}")
-    b_med = statistics.median(base_vals)
-    c_med = statistics.median(change_vals)
-    print(f"{args.metric}: median {b_med:.6g} -> {c_med:.6g} "
-          f"({(c_med - b_med) / b_med * 100.0:+.1f}%), change wins "
-          f"{wins}/{args.pairs} pairs")
+    for m in timed:
+        base_vals, change_vals = vals[m]["base"], vals[m]["change"]
+        print(f"{m}:")
+        for side, xs in (("base", base_vals), ("change", change_vals)):
+            q1, med, q3 = quartiles(xs)
+            print(f"  {side:>6}: median {med:.6g}  q1 {q1:.6g}  q3 {q3:.6g}"
+                  f"  iqr {q3 - q1:.6g}")
+        wins = sum(c < b for b, c in zip(base_vals, change_vals))
+        b_med = statistics.median(base_vals)
+        c_med = statistics.median(change_vals)
+        change = (c_med - b_med) / b_med * 100.0 if b_med else float("nan")
+        print(f"{m}: median {b_med:.6g} -> {c_med:.6g} ({change:+.1f}%), "
+              f"change wins {wins}/{args.pairs} pairs")
     for p in problems:
         print(f"FAIL {p}", file=sys.stderr)
     return 1 if problems else 0
