@@ -65,8 +65,8 @@ void BM_McBreakdown(benchmark::State& state) {
     const double station_ms =
         (got->parse_time + got->render_time).to_millis();
     const double middleware_ms =
-        imode ? sys.config().imode.translation_delay.to_millis()
-              : sys.config().wap.translation_delay.to_millis();
+        imode ? middleware::kIModeTranslationDelay.to_millis()
+              : middleware::kWapTranslationDelay.to_millis();
     // Air time: what the radio spent serializing this page's frames.
     const double air_ms =
         8.0 * static_cast<double>(got->over_air_bytes) /

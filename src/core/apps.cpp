@@ -876,7 +876,10 @@ void seed_demo_accounts(PaymentProcessor& bank, int n, double balance) {
   }
 }
 
-AppEnvironment environment_for(McSystem& sys) {
+namespace {
+// McSystem and EcSystem expose the same host-side accessors.
+template <class System>
+AppEnvironment environment_of(System& sys) {
   AppEnvironment env;
   env.sim = &sys.sim();
   env.web = &sys.web_server();
@@ -887,17 +890,10 @@ AppEnvironment environment_for(McSystem& sys) {
   env.seed = sys.config().seed;
   return env;
 }
+}  // namespace
 
-AppEnvironment environment_for(EcSystem& sys) {
-  AppEnvironment env;
-  env.sim = &sys.sim();
-  env.web = &sys.web_server();
-  env.programs = &sys.app_server();
-  env.db = &sys.database();
-  env.personalization = &sys.personalization();
-  env.payments = &sys.payments();
-  env.seed = sys.config().seed;
-  return env;
-}
+AppEnvironment environment_for(McSystem& sys) { return environment_of(sys); }
+
+AppEnvironment environment_for(EcSystem& sys) { return environment_of(sys); }
 
 }  // namespace mcs::core

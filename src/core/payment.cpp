@@ -84,7 +84,7 @@ HttpResponse PaymentProcessor::handle_prepare(const HttpRequest& req) {
     if (res.account == account) held.emplace(t, res.amount);
   }
   double reserved = 0.0;
-  for (const auto& [t, amount] : held) reserved += amount;
+  for (const auto& [t, held_amount] : held) reserved += held_amount;
   if (bal - reserved < amount) {
     stats_.counter(c_votes_no_).add();
     return HttpResponse::make(200, "text/plain", "VOTE-NO:insufficient");

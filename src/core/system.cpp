@@ -7,6 +7,20 @@
 
 namespace mcs::core {
 
+namespace {
+// (v) wired networks. The backbone joins the gateway (EC: the router) to the
+// web host; the host LAN joins the web host to the database host.
+constexpr net::LinkConfig kBackbone{.bandwidth_bps = 10e6,
+                                    .propagation = sim::Time::millis(15)};
+constexpr net::LinkConfig kHostLan{.bandwidth_bps = 100e6,
+                                   .propagation = sim::Time::micros(100)};
+// EC baseline: each desktop's wired access link to the router.
+constexpr net::LinkConfig kDesktopAccess{.bandwidth_bps = 100e6,
+                                         .propagation = sim::Time::millis(2)};
+// (vi) CGI cost per request on the web server.
+constexpr sim::Time kWebProcessing = sim::Time::millis(1);
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Client drivers
 // ---------------------------------------------------------------------------
@@ -61,6 +75,31 @@ void DesktopClient::fetch(const std::string& url,
 }
 
 // ---------------------------------------------------------------------------
+// HostComputers
+// ---------------------------------------------------------------------------
+
+void HostComputers::build(sim::Simulator& sim, net::Node& web,
+                          net::Node& db_host,
+                          const host::db::DbServerConfig& db_cfg) {
+  web_tcp = std::make_unique<transport::TcpStack>(web);
+  db_tcp = std::make_unique<transport::TcpStack>(db_host);
+  db_server = std::make_unique<host::db::DbServer>(*db_tcp, 5432, db, db_cfg);
+  web_server = std::make_unique<host::HttpServer>(*web_tcp, 80);
+  web_server->set_processing_delay(kWebProcessing);
+  web_db_client = std::make_unique<host::db::DbClient>(
+      *web_tcp, net::Endpoint{db_host.addr(), 5432});
+  web_http_client = std::make_unique<host::HttpClient>(*web_tcp);
+  app_server = std::make_unique<host::AppServer>(
+      *web_server, host::AppServer::Context{web_db_client.get(), &sim});
+
+  // Payments: the bank participant runs on the web host too (a separate
+  // institution in reality; one hop away is enough for the model).
+  bank = std::make_unique<PaymentProcessor>(*web_server, db, sim);
+  payments = std::make_unique<PaymentCoordinator>(
+      *web_http_client, net::Endpoint{web.addr(), 80}, db, sim);
+}
+
+// ---------------------------------------------------------------------------
 // McSystem
 // ---------------------------------------------------------------------------
 
@@ -70,18 +109,17 @@ McSystem::McSystem(sim::Simulator& sim, McSystemConfig cfg)
   gateway_ = network_.add_node("gateway");
   web_ = network_.add_node("web-host");
   db_host_ = network_.add_node("db-host");
-  backbone_link_ = network_.connect(gateway_, web_, cfg_.backbone);
-  network_.connect(web_, db_host_, cfg_.host_lan);
+  backbone_link_ = network_.connect(gateway_, web_, kBackbone);
+  network_.connect(web_, db_host_, kHostLan);
 
   // --- (iv) wireless cell ----------------------------------------------------
-  cfg_.radio.phy = cfg_.phy;
-  if (cfg_.deterministic_radio) {
-    cfg_.radio.phy.base_loss_rate = 0.0;
-    cfg_.radio.p_good_to_bad = 0.0;
-  }
+  // No stochastic frame loss (base or burst), so a seed replays exactly.
+  wireless::WirelessConfig radio;
+  radio.phy = cfg_.phy;
+  radio.phy.base_loss_rate = 0.0;
+  radio.p_good_to_bad = 0.0;
   cell_ = std::make_unique<wireless::WirelessMedium>(
-      sim_, "cell0", wireless::Position{0, 0}, cfg_.radio,
-      network_.rng().fork());
+      sim_, "cell0", wireless::Position{0, 0}, radio, network_.rng().fork());
   cell_->set_ap_interface(gateway_->add_interface(network_.allocate_address()));
   network_.register_channel(cell_.get());
 
@@ -128,24 +166,7 @@ McSystem::McSystem(sim::Simulator& sim, McSystemConfig cfg)
   }
 
   // --- (vi) host computers -----------------------------------------------------
-  web_tcp_ = std::make_unique<transport::TcpStack>(*web_);
-  db_tcp_ = std::make_unique<transport::TcpStack>(*db_host_);
-  db_server_ = std::make_unique<host::db::DbServer>(*db_tcp_, 5432, db_,
-                                                    cfg_.db);
-  web_server_ = std::make_unique<host::HttpServer>(*web_tcp_, 80);
-  web_server_->set_processing_delay(cfg_.web_processing);
-  web_db_client_ = std::make_unique<host::db::DbClient>(
-      *web_tcp_, net::Endpoint{db_host_->addr(), 5432});
-  web_http_client_ = std::make_unique<host::HttpClient>(*web_tcp_);
-  app_server_ = std::make_unique<host::AppServer>(
-      *web_server_,
-      host::AppServer::Context{web_db_client_.get(), &sim_});
-
-  // Payments: the bank participant runs on the web host too (a separate
-  // institution in reality; one hop away is enough for the model).
-  bank_ = std::make_unique<PaymentProcessor>(*web_server_, db_, sim_);
-  payments_ = std::make_unique<PaymentCoordinator>(
-      *web_http_client_, net::Endpoint{web_->addr(), 80}, db_, sim_);
+  host_.build(sim_, *web_, *db_host_, cfg_.db);
 }
 
 std::string McSystem::web_url(const std::string& path) const {
@@ -168,13 +189,13 @@ EcSystem::EcSystem(sim::Simulator& sim, EcSystemConfig cfg)
   router_ = network_.add_node("router");
   web_ = network_.add_node("web-host");
   db_host_ = network_.add_node("db-host");
-  network_.connect(router_, web_, cfg_.backbone);
-  network_.connect(web_, db_host_, cfg_.host_lan);
+  network_.connect(router_, web_, kBackbone);
+  network_.connect(web_, db_host_, kHostLan);
 
   for (int i = 0; i < cfg_.num_clients; ++i) {
     auto c = std::make_unique<DesktopStation>();
     c->node = network_.add_node(sim::strf("desktop%d", i));
-    network_.connect(c->node, router_, cfg_.access);
+    network_.connect(c->node, router_, kDesktopAccess);
     c->tcp = std::make_unique<transport::TcpStack>(*c->node);
     c->http = std::make_unique<host::HttpClient>(*c->tcp);
     c->driver = std::make_unique<DesktopClient>(*c->http, sim_);
@@ -182,21 +203,7 @@ EcSystem::EcSystem(sim::Simulator& sim, EcSystemConfig cfg)
   }
   network_.compute_routes();
 
-  web_tcp_ = std::make_unique<transport::TcpStack>(*web_);
-  db_tcp_ = std::make_unique<transport::TcpStack>(*db_host_);
-  db_server_ = std::make_unique<host::db::DbServer>(*db_tcp_, 5432, db_,
-                                                    cfg_.db);
-  web_server_ = std::make_unique<host::HttpServer>(*web_tcp_, 80);
-  web_server_->set_processing_delay(cfg_.web_processing);
-  web_db_client_ = std::make_unique<host::db::DbClient>(
-      *web_tcp_, net::Endpoint{db_host_->addr(), 5432});
-  web_http_client_ = std::make_unique<host::HttpClient>(*web_tcp_);
-  app_server_ = std::make_unique<host::AppServer>(
-      *web_server_,
-      host::AppServer::Context{web_db_client_.get(), &sim_});
-  bank_ = std::make_unique<PaymentProcessor>(*web_server_, db_, sim_);
-  payments_ = std::make_unique<PaymentCoordinator>(
-      *web_http_client_, net::Endpoint{web_->addr(), 80}, db_, sim_);
+  host_.build(sim_, *web_, *db_host_, cfg_.db);
 }
 
 std::string EcSystem::web_url(const std::string& path) const {

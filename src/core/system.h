@@ -64,16 +64,40 @@ class DesktopClient : public ClientDriver {
 };
 
 // ---------------------------------------------------------------------------
+// (vi) host computers, as both systems build them
+// ---------------------------------------------------------------------------
+
+// The web host and the database host with everything that runs on them: TCP
+// stacks, the database and its server, the web server and the web host's
+// database/HTTP clients, the CGI program server, and payments.
+struct HostComputers {
+  // Builds every component on `web` and `db_host` in a fixed order (the
+  // order is part of the event trace).
+  void build(sim::Simulator& sim, net::Node& web, net::Node& db_host,
+             const host::db::DbServerConfig& db_cfg);
+
+  std::unique_ptr<transport::TcpStack> web_tcp;
+  std::unique_ptr<transport::TcpStack> db_tcp;
+  std::unique_ptr<host::HttpServer> web_server;
+  host::db::Database db{"host-db"};
+  std::unique_ptr<host::db::DbServer> db_server;
+  std::unique_ptr<host::db::DbClient> web_db_client;
+  std::unique_ptr<host::HttpClient> web_http_client;
+  std::unique_ptr<host::AppServer> app_server;
+  std::unique_ptr<PaymentProcessor> bank;
+  std::unique_ptr<PaymentCoordinator> payments;
+};
+
+// ---------------------------------------------------------------------------
 // The six-component mobile commerce system (paper Figure 2)
 // ---------------------------------------------------------------------------
 
+// The radio always runs without stochastic loss, so a seed replays exactly;
+// the wired links and the web host's CGI cost are fixed too (DESIGN.md,
+// "Model constants").
 struct McSystemConfig {
   // (iv) wireless networks
   wireless::PhyProfile phy = wireless::wifi_802_11b();
-  // Zero out stochastic radio loss for deterministic runs; benches that
-  // study loss recovery set this false.
-  bool deterministic_radio = true;
-  wireless::WirelessConfig radio;  // phy is overwritten from `phy`
   // (iii) mobile middleware
   station::BrowserMode middleware = station::BrowserMode::kWap;
   middleware::WapGatewayConfig wap;
@@ -83,20 +107,9 @@ struct McSystemConfig {
   // (ii) mobile stations
   int num_mobiles = 1;
   station::DeviceProfile device = station::ipaq_h3870();
-  // (v) wired networks
-  net::LinkConfig backbone;     // gateway <-> web host (WAN)
-  net::LinkConfig host_lan;     // web host <-> database host (LAN)
   // (vi) host computers
   host::db::DbServerConfig db;
-  sim::Time web_processing = sim::Time::millis(1);  // CGI cost per request
   std::uint64_t seed = 1;
-
-  McSystemConfig() {
-    backbone.bandwidth_bps = 10e6;
-    backbone.propagation = sim::Time::millis(15);
-    host_lan.bandwidth_bps = 100e6;
-    host_lan.propagation = sim::Time::micros(100);
-  }
 };
 
 // One mobile station bundle: node, stacks, radio position, browser.
@@ -129,18 +142,18 @@ class McSystem {
   middleware::IModeGateway& imode_gateway() { return *imode_gateway_; }   // (iii)
   wireless::WirelessMedium& cell() { return *cell_; }                     // (iv)
   net::Link* backbone_link() { return backbone_link_; }                   // (v)
-  host::HttpServer& web_server() { return *web_server_; }                 // (vi)
-  host::db::Database& database() { return db_; }                          // (vi)
-  host::db::DbServer& db_server() { return *db_server_; }                 // (vi)
-  host::AppServer& app_server() { return *app_server_; }                  // (vi)
+  host::HttpServer& web_server() { return *host_.web_server; }            // (vi)
+  host::db::Database& database() { return host_.db; }                     // (vi)
+  host::db::DbServer& db_server() { return *host_.db_server; }            // (vi)
+  host::AppServer& app_server() { return *host_.app_server; }             // (vi)
 
   net::Node* gateway_node() { return gateway_; }
   net::Node* web_node() { return web_; }
   net::Node* db_node() { return db_host_; }
 
   PersonalizationEngine& personalization() { return personalization_; }
-  PaymentCoordinator& payments() { return *payments_; }
-  PaymentProcessor& bank() { return *bank_; }
+  PaymentCoordinator& payments() { return *host_.payments; }
+  PaymentProcessor& bank() { return *host_.bank; }
 
   // URL (host:port/path) of the web server, as clients address it.
   std::string web_url(const std::string& path) const;
@@ -159,43 +172,23 @@ class McSystem {
   std::unique_ptr<wireless::WirelessMedium> cell_;
   std::unique_ptr<transport::UdpStack> gateway_udp_;
   std::unique_ptr<transport::TcpStack> gateway_tcp_;
-  std::unique_ptr<transport::TcpStack> web_tcp_;
-  std::unique_ptr<transport::TcpStack> db_tcp_;
   std::unique_ptr<middleware::WapGateway> wap_gateway_;
   std::unique_ptr<middleware::IModeGateway> imode_gateway_;
-  std::unique_ptr<host::HttpServer> web_server_;
-  host::db::Database db_{"host-db"};
-  std::unique_ptr<host::db::DbServer> db_server_;
-  std::unique_ptr<host::db::DbClient> web_db_client_;
-  std::unique_ptr<host::HttpClient> web_http_client_;
-  std::unique_ptr<host::AppServer> app_server_;
+  HostComputers host_;
   std::vector<std::unique_ptr<MobileStation>> mobiles_;
   PersonalizationEngine personalization_;
-  std::unique_ptr<PaymentProcessor> bank_;
-  std::unique_ptr<PaymentCoordinator> payments_;
 };
 
 // ---------------------------------------------------------------------------
 // The four-component electronic commerce baseline (paper Figure 1)
 // ---------------------------------------------------------------------------
 
+// Clients reach the router over a fixed wired access link; the backbone,
+// host LAN and CGI cost are McSystem's (DESIGN.md, "Model constants").
 struct EcSystemConfig {
   int num_clients = 1;
-  net::LinkConfig access;   // client <-> router (wired LAN/WAN)
-  net::LinkConfig backbone; // router <-> web host
-  net::LinkConfig host_lan; // web host <-> db host
   host::db::DbServerConfig db;
-  sim::Time web_processing = sim::Time::millis(1);
   std::uint64_t seed = 1;
-
-  EcSystemConfig() {
-    access.bandwidth_bps = 100e6;
-    access.propagation = sim::Time::millis(2);
-    backbone.bandwidth_bps = 10e6;
-    backbone.propagation = sim::Time::millis(15);
-    host_lan.bandwidth_bps = 100e6;
-    host_lan.propagation = sim::Time::micros(100);
-  }
 };
 
 struct DesktopStation {
@@ -218,13 +211,13 @@ class EcSystem {
   net::Network& network() { return network_; }
   DesktopStation& client(std::size_t i) { return *clients_[i]; }
   std::size_t client_count() const { return clients_.size(); }
-  host::HttpServer& web_server() { return *web_server_; }
-  host::db::Database& database() { return db_; }
-  host::db::DbServer& db_server() { return *db_server_; }
-  host::AppServer& app_server() { return *app_server_; }
+  host::HttpServer& web_server() { return *host_.web_server; }
+  host::db::Database& database() { return host_.db; }
+  host::db::DbServer& db_server() { return *host_.db_server; }
+  host::AppServer& app_server() { return *host_.app_server; }
   PersonalizationEngine& personalization() { return personalization_; }
-  PaymentCoordinator& payments() { return *payments_; }
-  PaymentProcessor& bank() { return *bank_; }
+  PaymentCoordinator& payments() { return *host_.payments; }
+  PaymentProcessor& bank() { return *host_.bank; }
 
   net::Node* router_node() { return router_; }
   net::Node* web_node() { return web_; }
@@ -242,18 +235,9 @@ class EcSystem {
   net::Node* router_ = nullptr;
   net::Node* web_ = nullptr;
   net::Node* db_host_ = nullptr;
-  std::unique_ptr<transport::TcpStack> web_tcp_;
-  std::unique_ptr<transport::TcpStack> db_tcp_;
-  std::unique_ptr<host::HttpServer> web_server_;
-  host::db::Database db_{"host-db"};
-  std::unique_ptr<host::db::DbServer> db_server_;
-  std::unique_ptr<host::db::DbClient> web_db_client_;
-  std::unique_ptr<host::HttpClient> web_http_client_;
-  std::unique_ptr<host::AppServer> app_server_;
+  HostComputers host_;
   std::vector<std::unique_ptr<DesktopStation>> clients_;
   PersonalizationEngine personalization_;
-  std::unique_ptr<PaymentProcessor> bank_;
-  std::unique_ptr<PaymentCoordinator> payments_;
 };
 
 }  // namespace mcs::core

@@ -204,6 +204,12 @@ void Rows::append(sim::Slice line) {
 // DbServer
 // ---------------------------------------------------------------------------
 
+namespace {
+constexpr sim::Time kOpDelay = sim::Time::micros(50);  // CPU per operation
+// SyncPolicy::kGroup: commits arriving within this window share one fsync.
+constexpr sim::Time kGroupWindow = sim::Time::millis(2);
+}  // namespace
+
 DbServer::DbServer(transport::TcpStack& stack, std::uint16_t port,
                    Database& db, DbServerConfig cfg)
     : stack_{stack}, db_{db}, cfg_{cfg} {
@@ -262,7 +268,7 @@ void DbServer::complete(const std::shared_ptr<Connection>& conn,
 void DbServer::respond(const std::shared_ptr<Connection>& conn,
                        const Slot& slot, std::string&& msg) {
   // CPU cost of handling one operation.
-  stack_.sim().after(cfg_.op_delay,
+  stack_.sim().after(kOpDelay,
                      [this, conn, slot, msg = std::move(msg)]() mutable {
     complete(conn, slot, std::move(msg));
   });
@@ -276,8 +282,8 @@ void DbServer::respond_commit(const std::shared_ptr<Connection>& conn,
       return;
     case SyncPolicy::kPerCommit: {
       // One serialized fsync per commit on the single log device.
-      const sim::Time start = std::max(stack_.sim().now() + cfg_.op_delay,
-                                       log_busy_until_);
+      const sim::Time start =
+          std::max(stack_.sim().now() + kOpDelay, log_busy_until_);
       log_busy_until_ = start + cfg_.fsync_delay;
       stack_.sim().at(log_busy_until_,
                       [this, conn, slot, msg = std::move(msg)]() mutable {
@@ -294,8 +300,8 @@ void DbServer::respond_commit(const std::shared_ptr<Connection>& conn,
       if (!group_timer_armed_) {
         group_timer_armed_ = true;
         // Collect commits for one window, then issue a single fsync.
-        const sim::Time start = std::max(
-            stack_.sim().now() + cfg_.group_window, log_busy_until_);
+        const sim::Time start =
+            std::max(stack_.sim().now() + kGroupWindow, log_busy_until_);
         log_busy_until_ = start + cfg_.fsync_delay;
         stack_.sim().at(log_busy_until_, [this] {
           group_timer_armed_ = false;

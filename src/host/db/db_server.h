@@ -106,10 +106,8 @@ enum class SyncPolicy {
 };
 
 struct DbServerConfig {
-  sim::Time op_delay = sim::Time::micros(50);      // CPU per operation
   sim::Time fsync_delay = sim::Time::millis(2);    // one log flush
   SyncPolicy sync_policy = SyncPolicy::kPerCommit;
-  sim::Time group_window = sim::Time::millis(2);   // group-commit interval
 };
 
 // Network front-end for a Database (§7 "database servers"): a line protocol

@@ -80,7 +80,7 @@ WapGateway::WapGateway(net::Node& node, transport::UdpStack& udp,
     : node_{node},
       cfg_{cfg},
       resolver_{std::move(resolver)},
-      wtp_{udp, cfg.wtp_port, cfg.wtp},
+      wtp_{udp, cfg.wtp_port},
       http_{tcp} {
   // WTLS identity: an ephemeral static key certified by the configured CA.
   sim::Rng rng{0xCE27ull ^ node.addr().v};
@@ -96,7 +96,7 @@ WapGateway::WapGateway(net::Node& node, transport::UdpStack& udp,
 
 void WapGateway::on_wtp_invoke(const std::string& payload, net::Endpoint from,
                                std::function<void(std::string)> respond) {
-  if (sim::starts_with(payload, "WTLS-HELLO ") && cfg_.enable_wtls) {
+  if (sim::starts_with(payload, "WTLS-HELLO ")) {
     // Server side of the handshake; a fresh hello replaces any old session.
     security::WtlsHandshake server{security::WtlsHandshake::Role::kServer,
                                    sim::Rng{from.addr.v ^ from.port},
@@ -209,7 +209,7 @@ void WapGateway::handle_request(const std::string& payload,
     // simulated translation CPU time.
     const obs::TraceContext xlate = obs::begin_child(
         gw, obs::Component::kMiddleware, "wap.translate", node_.sim().now());
-    node_.sim().after(cfg_.translation_delay,
+    node_.sim().after(kWapTranslationDelay,
                       [this, xlate, body = std::move(resp->body),
                        respond = std::move(respond)]() mutable {
       obs::end_span(xlate, node_.sim().now());
@@ -311,7 +311,7 @@ void IModeGateway::handle(const host::HttpRequest& req,
     }
     const obs::TraceContext xlate = obs::begin_child(
         gw, obs::Component::kMiddleware, "imode.translate", tcp_.sim().now());
-    tcp_.sim().after(cfg_.translation_delay,
+    tcp_.sim().after(kIModeTranslationDelay,
                      [this, xlate, body = std::move(resp->body),
                       respond = std::move(respond)]() mutable {
       obs::end_span(xlate, tcp_.sim().now());

@@ -50,17 +50,13 @@ struct TranslatedPage {
   std::size_t bytes() const { return text.capacity() + wbxml.capacity(); }
 };
 
+// Simulated CPU cost of HTML->WML translation + WBXML compilation.
+inline constexpr sim::Time kWapTranslationDelay = sim::Time::millis(5);
+
 struct WapGatewayConfig {
   std::uint16_t wtp_port = kWapGatewayPort;
-  // Simulated CPU cost of HTML->WML translation + WBXML compilation.
-  sim::Time translation_delay = sim::Time::millis(5);
   bool encode_wbxml = true;  // binary-encode decks for the air link
   AdaptationConfig adaptation;
-  WtpConfig wtp;
-  // WTLS: serve secure sessions to phones that request them. Note the
-  // historical "WAP gap": the gateway terminates WTLS, so content transits
-  // the gateway in plaintext between decryption and the wired TLS hop.
-  bool enable_wtls = true;
   std::uint64_t wtls_ca_key = kDefaultWtlsCaKey;
 };
 
@@ -68,7 +64,10 @@ struct WapGatewayConfig {
 // through the network to the WAP Gateway; responses are sent from the Web
 // server to the WAP Gateway in HTML and are then translated in WML and sent
 // to the mobile stations." Speaks WTP/WDP toward the phone and HTTP/TCP
-// toward origin servers.
+// toward origin servers, and serves WTLS sessions to phones that request
+// them. Note the historical "WAP gap": the gateway terminates WTLS, so
+// content transits the gateway in plaintext between decryption and the
+// wired TLS hop.
 class WapGateway {
  public:
   WapGateway(net::Node& node, transport::UdpStack& udp,
@@ -126,10 +125,11 @@ class WapGateway {
 };
 
 inline constexpr std::uint16_t kIModeGatewayPort = 8001;
+// cHTML simplification is lighter than WAP's WML + WBXML compilation.
+inline constexpr sim::Time kIModeTranslationDelay = sim::Time::millis(2);
 
 struct IModeGatewayConfig {
   std::uint16_t port = kIModeGatewayPort;
-  sim::Time translation_delay = sim::Time::millis(2);  // lighter than WAP
   AdaptationConfig adaptation;
 };
 

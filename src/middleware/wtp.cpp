@@ -8,6 +8,14 @@ namespace mcs::middleware {
 
 namespace {
 
+// Initiator retransmits an unanswered invoke after this long.
+constexpr sim::Time kRetryInterval = sim::Time::millis(800);
+// Payload bytes per datagram.
+constexpr std::size_t kMtu = 1200;
+// A responder keeps a sent result for retransmission until the initiator's
+// ACK, or for this long if the ACK is lost.
+constexpr sim::Time kResponderCacheTtl = sim::Time::seconds(10.0);
+
 // strtoull(.., 10) semantics over a non-NUL-terminated view: skip leading
 // whitespace, then a decimal digit run. Header fields are produced by our
 // own serializer, so signs/overflow never occur in practice.
@@ -57,10 +65,10 @@ WtpEndpoint::WtpEndpoint(transport::UdpStack& udp, std::uint16_t port,
 void WtpEndpoint::send_segments(net::Endpoint to, const char* kind,
                                 std::uint64_t tid, const std::string& payload) {
   const std::size_t nsegs =
-      payload.empty() ? 1 : (payload.size() + cfg_.mtu - 1) / cfg_.mtu;
+      payload.empty() ? 1 : (payload.size() + kMtu - 1) / kMtu;
   for (std::size_t seg = 0; seg < nsegs; ++seg) {
-    const std::size_t off = seg * cfg_.mtu;
-    const std::size_t len = std::min(cfg_.mtu, payload.size() - off);
+    const std::size_t off = seg * kMtu;
+    const std::size_t len = std::min(kMtu, payload.size() - off);
     // One right-sized allocation per datagram; the UDP stack takes
     // ownership of the frame bytes (same bytes as
     // strf("%s %llu %zu %zu\n") + the payload window).
@@ -95,7 +103,7 @@ void WtpEndpoint::invoke(net::Endpoint responder, std::string&& payload,
 void WtpEndpoint::arm_retry(std::uint64_t tid) {
   auto it = outgoing_.find(tid);
   if (it == outgoing_.end()) return;
-  it->second.timer = udp_.node().sim().after(cfg_.retry_interval, [this, tid] {
+  it->second.timer = udp_.node().sim().after(kRetryInterval, [this, tid] {
     auto tit = outgoing_.find(tid);
     if (tit == outgoing_.end() || tit->second.done) return;
     OutgoingTxn& txn = tit->second;
@@ -178,7 +186,7 @@ void WtpEndpoint::on_datagram(const std::string& data, net::Endpoint from) {
       send_segments(from, "RES", key.tid, rit->second.cached_result);
       // Drop cached state after the TTL even if the ACK is lost.
       rit->second.expiry =
-          udp_.node().sim().after(cfg_.responder_cache_ttl,
+          udp_.node().sim().after(kResponderCacheTtl,
                                   [this, key] { responding_.erase(key); });
     });
     return;

@@ -25,10 +25,7 @@ namespace mcs::middleware {
 //   "RES <tid> <seg> <nsegs>\n" <bytes>     responder -> initiator
 //   "ACK <tid>\n"                           initiator -> responder
 struct WtpConfig {
-  sim::Time retry_interval = sim::Time::millis(800);
   int max_retries = 6;
-  std::size_t mtu = 1200;  // payload bytes per datagram
-  sim::Time responder_cache_ttl = sim::Time::seconds(10.0);
 };
 
 class WtpEndpoint {

@@ -9,6 +9,18 @@ namespace mcs::mobileip {
 
 using sim::strf;
 
+namespace {
+// Smooth handoff: how long the previous FA forwards to the new care-of
+// address.
+constexpr sim::Time kForwardLifetime = sim::Time::seconds(5.0);
+// Foreign-agent buffer per unreachable mobile: at most this many packets,
+// each kept at most this long.
+constexpr std::size_t kBufferPackets = 128;
+constexpr sim::Time kBufferTtl = sim::Time::seconds(3.0);
+// The mobile re-sends an unanswered registration request after this long.
+constexpr sim::Time kRegistrationRetryInterval = sim::Time::millis(500);
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Wire formats
 // ---------------------------------------------------------------------------
@@ -162,7 +174,7 @@ void HomeAgent::on_datagram(const std::string& payload, net::Endpoint from) {
       // Tell the previous FA where in-flight packets should go now.
       const BindingForward fwd{
           req->home_addr, req->care_of,
-          static_cast<std::uint64_t>(cfg_.forward_lifetime.to_millis())};
+          static_cast<std::uint64_t>(kForwardLifetime.to_millis())};
       udp_.send({old->second.care_of, kMobileIpPort}, kMobileIpPort,
                 fwd.encode());
       stats_.counter(c_forward_updates_sent_).add();
@@ -187,12 +199,8 @@ void HomeAgent::on_datagram(const std::string& payload, net::Endpoint from) {
 // ---------------------------------------------------------------------------
 
 ForeignAgent::ForeignAgent(net::Node& router, transport::UdpStack& udp,
-                           net::Interface* wireless_iface,
-                           ForeignAgentConfig cfg)
-    : router_{router},
-      udp_{udp},
-      wireless_iface_{wireless_iface},
-      cfg_{cfg} {
+                           net::Interface* wireless_iface)
+    : router_{router}, udp_{udp}, wireless_iface_{wireless_iface} {
   router_.register_protocol_handler(
       net::Protocol::kIpInIp,
       [this](const net::PacketPtr& p, net::Interface*) { on_tunnel_packet(p); });
@@ -232,14 +240,14 @@ void ForeignAgent::buffer_packet(const net::PacketPtr& inner) {
   // Expire stale entries, then respect the budget.
   const sim::Time now = router_.sim().now();
   std::erase_if(q, [&](const BufferedPacket& b) {
-    return now - b.buffered_at > cfg_.buffer_ttl;
+    return now - b.buffered_at > kBufferTtl;
   });
-  if (q.size() >= cfg_.buffer_packets) {
+  if (q.size() >= kBufferPackets) {
     stats_.counter(c_drop_buffer_full_).add();
     return;
   }
   q.push_back(BufferedPacket{inner, now});
-  MCS_INVARIANT(q.size() <= cfg_.buffer_packets,
+  MCS_INVARIANT(q.size() <= kBufferPackets,
                 "foreign agent exceeded its per-mobile buffer budget");
   stats_.counter(c_buffered_packets_).add();
 }
@@ -251,7 +259,7 @@ void ForeignAgent::flush_buffered(net::IpAddress home_addr) {
   buffered_.erase(it);
   const sim::Time now = router_.sim().now();
   for (auto& b : q) {
-    if (now - b.buffered_at > cfg_.buffer_ttl) continue;
+    if (now - b.buffered_at > kBufferTtl) continue;
     auto fit = forwards_.find(home_addr);
     if (fit != forwards_.end() && now < fit->second.expires) {
       forward_packet(b.packet, fit->second.new_coa);
@@ -394,7 +402,7 @@ void MobileIpClient::send_registration() {
 
 void MobileIpClient::arm_retry() {
   if (retry_timer_ != sim::kInvalidEventId) mobile_.sim().cancel(retry_timer_);
-  retry_timer_ = mobile_.sim().after(cfg_.retry_interval, [this] {
+  retry_timer_ = mobile_.sim().after(kRegistrationRetryInterval, [this] {
     retry_timer_ = sim::kInvalidEventId;
     if (registered_) return;
     if (++retries_ > cfg_.max_retries) {

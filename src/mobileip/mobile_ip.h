@@ -59,7 +59,6 @@ struct HomeAgentConfig {
   // to forward in-flight tunneled packets to the new care-of address for a
   // grace period, instead of dropping them.
   bool smooth_handoff = false;
-  sim::Time forward_lifetime = sim::Time::seconds(5.0);
 };
 
 // Runs on the home-network router. Owns the binding table and the
@@ -114,22 +113,17 @@ class HomeAgent {
   sim::Counter* m_encap_ = obs::metric_counter("mobileip.tunnel.encap");
 };
 
-struct ForeignAgentConfig {
-  // Buffer tunneled packets for mobiles we cannot currently reach (they just
-  // left, or have not finished registering) instead of dropping them; they
-  // are flushed when a forward pointer or a registration arrives. This is
-  // what makes the smooth-handoff extension actually save in-flight packets.
-  std::size_t buffer_packets = 128;
-  sim::Time buffer_ttl = sim::Time::seconds(3.0);
-};
-
 // Runs on a visited-network router (AP/base station). Advertises its own
 // address as the care-of address, relays registrations, decapsulates the
 // tunnel and delivers to visiting mobiles over the wireless interface.
+// Tunneled packets for mobiles it cannot currently reach (they just left, or
+// have not finished registering) are buffered instead of dropped, and
+// flushed when a forward pointer or a registration arrives. This is what
+// makes the smooth-handoff extension actually save in-flight packets.
 class ForeignAgent {
  public:
   ForeignAgent(net::Node& router, transport::UdpStack& udp,
-               net::Interface* wireless_iface, ForeignAgentConfig cfg = {});
+               net::Interface* wireless_iface);
   ForeignAgent(const ForeignAgent&) = delete;
   ForeignAgent& operator=(const ForeignAgent&) = delete;
 
@@ -166,7 +160,6 @@ class ForeignAgent {
   net::Node& router_;
   transport::UdpStack& udp_;
   net::Interface* wireless_iface_;
-  ForeignAgentConfig cfg_;
   std::unordered_map<net::IpAddress, PendingRegistration> pending_;
   std::unordered_map<net::IpAddress, bool> visitors_;
   std::unordered_map<net::IpAddress, ForwardPointer> forwards_;
@@ -189,7 +182,6 @@ class ForeignAgent {
 struct MobileClientConfig {
   net::IpAddress home_agent;
   sim::Time lifetime = sim::Time::seconds(30.0);
-  sim::Time retry_interval = sim::Time::millis(500);
   int max_retries = 5;
 };
 

@@ -8,9 +8,8 @@
 // metric values derive from simulation state only, so deterministic outputs
 // stay byte-identical across reruns.
 //
-// mcs-analyze's wallclock check whitelists this file alongside
-// obs/trace_clock.h (and nothing else under src/); a host-clock read
-// anywhere else is still a finding.
+// mcs-analyze's wallclock check whitelists exactly this file (and nothing
+// else under src/); a host-clock read anywhere else is still a finding.
 
 #include <chrono>
 #include <cstdint>

@@ -232,7 +232,7 @@ Tracer::Breakdown Tracer::breakdown() const {
 // Exporters
 // ---------------------------------------------------------------------------
 
-void Tracer::export_chrome_trace(sim::JsonWriter& w, bool wallclock_anchor,
+void Tracer::export_chrome_trace(sim::JsonWriter& w,
                                  const FlightRecorder* counters) const {
   w.begin_object();
   w.key("displayTimeUnit").value("ms");
@@ -287,20 +287,13 @@ void Tracer::export_chrome_trace(sim::JsonWriter& w, bool wallclock_anchor,
   }
   if (counters != nullptr) counters->append_chrome_counters(w);
   w.end_array();
-  if (wallclock_anchor) {
-    // Out-of-band metadata only; never on for deterministic outputs.
-    w.key("otherData").begin_object();
-    w.key("exported_at_us").value(static_cast<std::int64_t>(
-        wallclock_anchor_us()));
-    w.end_object();
-  }
   w.end_object();
 }
 
 std::string Tracer::chrome_trace_json(bool pretty,
                                       const FlightRecorder* counters) const {
   sim::JsonWriter w{pretty};
-  export_chrome_trace(w, /*wallclock_anchor=*/false, counters);
+  export_chrome_trace(w, counters);
   return w.take();
 }
 

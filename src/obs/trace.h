@@ -155,10 +155,8 @@ class Tracer {
   // per component), loadable in chrome://tracing or ui.perfetto.dev.
   // Timestamps are simulation microseconds. When `counters` is supplied its
   // flight-recorder series are merged in as Perfetto counter ("C") tracks
-  // above the span rows. When `wallclock_anchor` is set (never by default —
-  // it breaks byte-identical reruns), otherData records the host time of
-  // export; see obs/trace_clock.h.
-  void export_chrome_trace(sim::JsonWriter& w, bool wallclock_anchor = false,
+  // above the span rows.
+  void export_chrome_trace(sim::JsonWriter& w,
                            const FlightRecorder* counters = nullptr) const;
   std::string chrome_trace_json(bool pretty = false,
                                 const FlightRecorder* counters = nullptr) const;

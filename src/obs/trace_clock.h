@@ -1,20 +1,10 @@
 #pragma once
 
-// The obs exporters' clock sources, in one deliberately small file.
+// The obs exporters' timestamp conversion, in one deliberately small file.
 //
 // Simulation time is the only timeline traces are written in: every span
-// timestamp is sim::Time converted to microseconds here. The one wallclock
-// reading in the whole tree — wallclock_anchor_us() — exists so an export
-// can be labelled with the host time it was produced (out-of-band metadata
-// for humans correlating trace files with CI runs). It is opt-in per
-// export, never mixed into span timestamps, and never on by default, so
-// deterministic outputs stay byte-identical across reruns.
-//
-// mcs-analyze's wallclock check whitelists exactly this file (and nothing
-// else under src/); a wallclock read anywhere else is still a finding.
-
-#include <chrono>
-#include <cstdint>
+// timestamp is sim::Time converted to microseconds here. Nothing here reads
+// the host clock, so exported traces stay byte-identical across reruns.
 
 #include "sim/time.h"
 
@@ -23,13 +13,5 @@ namespace mcs::obs {
 // Sim-clock -> trace timestamp: Chrome trace-event "ts"/"dur" are
 // microsecond doubles.
 inline double trace_ts_us(sim::Time t) { return t.to_micros(); }
-
-// Host wallclock, microseconds since the Unix epoch. See file comment for
-// why this is allowed to exist.
-inline std::int64_t wallclock_anchor_us() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
 
 }  // namespace mcs::obs

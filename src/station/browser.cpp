@@ -21,8 +21,7 @@ MicroBrowser::MicroBrowser(net::Node& station, DeviceProfile device,
       battery_{station.sim(), device_.battery},
       cache_{device_.cache_budget_bytes()} {
   if (cfg_.mode == BrowserMode::kWap) {
-    wtp_ = std::make_unique<middleware::WtpEndpoint>(*udp, kPhoneWdpPort,
-                                                     cfg_.wtp);
+    wtp_ = std::make_unique<middleware::WtpEndpoint>(*udp, kPhoneWdpPort);
   } else {
     http_ = std::make_unique<host::HttpClient>(*tcp);
   }

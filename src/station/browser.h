@@ -24,7 +24,6 @@ enum class BrowserMode { kWap, kImode };
 struct BrowserConfig {
   BrowserMode mode = BrowserMode::kWap;
   net::Endpoint gateway;  // WAP: WDP endpoint; i-mode: HTTP endpoint
-  middleware::WtpConfig wtp;
   // WTLS (WAP mode only): run the handshake against the gateway and seal
   // every WSP transaction. The handset trusts certificates signed by ca_key
   // (its burned-in root).

@@ -10,10 +10,21 @@
 
 namespace mcs::transport {
 
+namespace {
+// Local retransmission timeout over the wireless hop; much shorter than the
+// end-to-end RTO, which is the point of the scheme.
+constexpr sim::Time kLocalRto = sim::Time::millis(100);
+// How often the agent scans its cache for overdue segments.
+constexpr sim::Time kScanInterval = sim::Time::millis(50);
+constexpr std::size_t kMaxCachedBytesPerFlow = 256 * 1024;
+// Give up on a segment after this many local retransmissions (the segment
+// is dropped from the cache and end-to-end recovery takes over).
+constexpr int kMaxLocalRetransmissions = 8;
+}  // namespace
+
 SnoopAgent::SnoopAgent(net::Node& ap,
-                       std::function<bool(net::IpAddress)> is_mobile,
-                       SnoopConfig cfg)
-    : ap_{ap}, is_mobile_{std::move(is_mobile)}, cfg_{cfg} {
+                       std::function<bool(net::IpAddress)> is_mobile)
+    : ap_{ap}, is_mobile_{std::move(is_mobile)} {
   filter_id_ =
       ap_.add_filter([this](const net::PacketPtr& p, net::Interface* in) {
         return on_packet(p, in);
@@ -48,7 +59,7 @@ bool SnoopAgent::any_cached() const {
 void SnoopAgent::maybe_arm_scan_timer() {
   if (scan_timer_ != sim::kInvalidEventId) return;
   if (!any_cached()) return;
-  scan_timer_ = ap_.sim().after(cfg_.scan_interval, [this] {
+  scan_timer_ = ap_.sim().after(kScanInterval, [this] {
     scan_timer_ = sim::kInvalidEventId;
     scan_cache();
   });
@@ -75,8 +86,7 @@ net::FilterVerdict SnoopAgent::on_packet(const net::PacketPtr& p,
 void SnoopAgent::on_data_to_mobile(const net::PacketPtr& p, Flow& flow) {
   const std::uint64_t seq = p->tcp.seq;
   if (seq + p->payload.size() <= flow.last_ack) return;  // already acked
-  if (flow.cached_bytes + p->payload.size() >
-      cfg_.max_cached_bytes_per_flow) {
+  if (flow.cached_bytes + p->payload.size() > kMaxCachedBytesPerFlow) {
     return;  // cache full: degrade to plain forwarding
   }
   auto [it, inserted] = flow.cache.try_emplace(seq);
@@ -131,7 +141,7 @@ void SnoopAgent::retransmit(Flow& flow, std::uint64_t seq, bool timeout) {
   if (timeout) ++stats_.timeout_retransmissions;
   ++it->second.retransmissions;
   MCS_INVARIANT(!timeout ||
-                    it->second.retransmissions <= cfg_.max_local_retransmissions,
+                    it->second.retransmissions <= kMaxLocalRetransmissions,
                 "snoop timeout path exceeded the local retransmission budget");
   it->second.last_sent_at = ap_.sim().now();
   sim::logf(sim::LogLevel::kDebug, ap_.sim().now(),
@@ -162,8 +172,8 @@ void SnoopAgent::scan_cache() {
     // Only the head-of-line segment is timed; later ones follow once the
     // hole is repaired.
     auto it = flow.cache.begin();
-    if (now - it->second.last_sent_at >= cfg_.local_rto) {
-      if (it->second.retransmissions >= cfg_.max_local_retransmissions) {
+    if (now - it->second.last_sent_at >= kLocalRto) {
+      if (it->second.retransmissions >= kMaxLocalRetransmissions) {
         // Stop repairing: evict and let end-to-end recovery handle it.
         MCS_INVARIANT(flow.cached_bytes >= it->second.packet->payload.size(),
                       "snoop cache byte accounting underflow");

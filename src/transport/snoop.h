@@ -10,18 +10,6 @@
 
 namespace mcs::transport {
 
-struct SnoopConfig {
-  // Local retransmission timeout over the wireless hop; much shorter than
-  // the end-to-end RTO, which is the point of the scheme.
-  sim::Time local_rto = sim::Time::millis(100);
-  // How often the agent scans its cache for overdue segments.
-  sim::Time scan_interval = sim::Time::millis(50);
-  std::size_t max_cached_bytes_per_flow = 256 * 1024;
-  // Give up on a segment after this many local retransmissions (the segment
-  // is dropped from the cache and end-to-end recovery takes over).
-  int max_local_retransmissions = 8;
-};
-
 // Snoop protocol (Balakrishnan et al. [1] in the paper): a TCP-aware agent
 // at the base station / access point. It caches data segments heading to the
 // mobile host, retransmits them locally on duplicate ACKs or a local
@@ -31,8 +19,7 @@ struct SnoopConfig {
 class SnoopAgent {
  public:
   // `is_mobile` classifies addresses on the wireless side of this AP.
-  SnoopAgent(net::Node& ap, std::function<bool(net::IpAddress)> is_mobile,
-             SnoopConfig cfg = {});
+  SnoopAgent(net::Node& ap, std::function<bool(net::IpAddress)> is_mobile);
   ~SnoopAgent();
   SnoopAgent(const SnoopAgent&) = delete;
   SnoopAgent& operator=(const SnoopAgent&) = delete;
@@ -88,7 +75,6 @@ class SnoopAgent {
   net::Node& ap_;
   net::FilterId filter_id_ = 0;
   std::function<bool(net::IpAddress)> is_mobile_;
-  SnoopConfig cfg_;
   std::unordered_map<FlowKey, Flow, FlowKeyHash> flows_;
   sim::EventId scan_timer_ = sim::kInvalidEventId;
   Stats stats_;

@@ -5,22 +5,15 @@
 namespace mcs::transport {
 
 SplitTcpProxy::SplitTcpProxy(TcpStack& stack, std::uint16_t listen_port,
-                             net::Endpoint upstream,
-                             std::optional<TcpConfig> downstream_cfg,
-                             std::optional<TcpConfig> upstream_cfg)
-    : stack_{stack},
-      upstream_{upstream},
-      upstream_cfg_{upstream_cfg.value_or(stack.default_config())} {
-  stack_.listen(
-      listen_port,
-      [this](TcpSocket::Ptr accepted) {
-        ++stats_.connections;
-        auto relay = std::make_shared<Relay>();
-        relay->down = std::move(accepted);
-        relay->up = stack_.connect(upstream_, upstream_cfg_);
-        wire(relay);
-      },
-      downstream_cfg);
+                             net::Endpoint upstream)
+    : stack_{stack}, upstream_{upstream} {
+  stack_.listen(listen_port, [this](TcpSocket::Ptr accepted) {
+    ++stats_.connections;
+    auto relay = std::make_shared<Relay>();
+    relay->down = std::move(accepted);
+    relay->up = stack_.connect(upstream_);
+    wire(relay);
+  });
 }
 
 void SplitTcpProxy::wire(const std::shared_ptr<Relay>& relay) {

@@ -17,9 +17,7 @@ namespace mcs::transport {
 class SplitTcpProxy {
  public:
   SplitTcpProxy(TcpStack& stack, std::uint16_t listen_port,
-                net::Endpoint upstream,
-                std::optional<TcpConfig> downstream_cfg = std::nullopt,
-                std::optional<TcpConfig> upstream_cfg = std::nullopt);
+                net::Endpoint upstream);
   SplitTcpProxy(const SplitTcpProxy&) = delete;
   SplitTcpProxy& operator=(const SplitTcpProxy&) = delete;
 
@@ -39,7 +37,6 @@ class SplitTcpProxy {
 
   TcpStack& stack_;
   net::Endpoint upstream_;
-  TcpConfig upstream_cfg_;
   Stats stats_;
 };
 

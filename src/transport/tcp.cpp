@@ -11,6 +11,14 @@ namespace mcs::transport {
 using sim::LogLevel;
 using sim::Time;
 
+namespace {
+constexpr std::uint32_t kMss = 1460;  // max segment payload bytes
+constexpr std::uint32_t kInitialCwndSegments = 2;
+constexpr Time kMaxRto = Time::seconds(60.0);
+// Duplicate ACKs that trigger fast retransmit.
+constexpr int kDupackThreshold = 3;
+}  // namespace
+
 const char* to_string(TcpSocket::State s) {
   switch (s) {
     case TcpSocket::State::kClosed: return "CLOSED";
@@ -58,10 +66,9 @@ void TcpSocket::set_state(State next) {
 // TcpSocket
 // ---------------------------------------------------------------------------
 
-TcpSocket::TcpSocket(TcpStack& stack, net::Endpoint local, net::Endpoint remote,
-                     TcpConfig cfg)
-    : stack_{stack}, cfg_{cfg}, local_{local}, remote_{remote} {
-  cwnd_ = static_cast<std::uint64_t>(cfg_.initial_cwnd_segments) * cfg_.mss;
+TcpSocket::TcpSocket(TcpStack& stack, net::Endpoint local, net::Endpoint remote)
+    : stack_{stack}, cfg_{stack.config_}, local_{local}, remote_{remote} {
+  cwnd_ = static_cast<std::uint64_t>(kInitialCwndSegments) * kMss;
   rto_ = cfg_.initial_rto;
   // Stream data starts at offset 1; the SYN occupies [0, 1).
   send_buffer_base_ = 1;
@@ -131,11 +138,11 @@ void TcpSocket::notify_handoff() {
   // Undo RTO backoff: the pause was mobility, not congestion.
   consecutive_rtos_ = 0;
   if (have_rtt_sample_) {
-    rto_ = std::clamp(srtt_ + 4.0 * rttvar_, cfg_.min_rto, cfg_.max_rto);
+    rto_ = std::clamp(srtt_ + 4.0 * rttvar_, cfg_.min_rto, kMaxRto);
   } else {
     rto_ = cfg_.initial_rto;
   }
-  MCS_INVARIANT(rto_ <= cfg_.max_rto,
+  MCS_INVARIANT(rto_ <= kMaxRto,
                 "the mobility RTO reset must discard congestion backoff, "
                 "not reintroduce it");
   retransmit_head("handoff");
@@ -246,16 +253,16 @@ void TcpSocket::handle_ack(const net::PacketPtr& p) {
         retransmit_head("partial-ack");
         cwnd_ = std::max<std::uint64_t>(
                     ssthresh_, cwnd_ > newly_acked ? cwnd_ - newly_acked
-                                                   : cfg_.mss) +
-                cfg_.mss;
+                                                   : kMss) +
+                kMss;
       }
     } else {
       dupacks_ = 0;
       if (cwnd_ < ssthresh_) {
-        cwnd_ += std::min<std::uint64_t>(newly_acked, cfg_.mss);  // slow start
+        cwnd_ += std::min<std::uint64_t>(newly_acked, kMss);  // slow start
       } else {
         cwnd_ += std::max<std::uint64_t>(
-            1, static_cast<std::uint64_t>(cfg_.mss) * cfg_.mss / cwnd_);
+            1, static_cast<std::uint64_t>(kMss) * kMss / cwnd_);
       }
     }
 
@@ -286,18 +293,18 @@ void TcpSocket::handle_ack(const net::PacketPtr& p) {
       !h.has(net::kTcpFin) && snd_nxt_ > snd_una_) {
     ++counters_.dupacks_received;
     if (in_fast_recovery_) {
-      cwnd_ += cfg_.mss;  // window inflation
+      cwnd_ += kMss;  // window inflation
       try_send();
       return;
     }
-    if (++dupacks_ == cfg_.dupack_threshold) {
+    if (++dupacks_ == kDupackThreshold) {
       const std::uint64_t flight = snd_nxt_ - snd_una_;
-      ssthresh_ = std::max<std::uint64_t>(flight / 2, 2 * cfg_.mss);
+      ssthresh_ = std::max<std::uint64_t>(flight / 2, 2 * kMss);
       recover_ = snd_nxt_;
       in_fast_recovery_ = true;
       ++counters_.fast_retransmits;
       retransmit_head("fast-rtx");
-      cwnd_ = ssthresh_ + 3 * static_cast<std::uint64_t>(cfg_.mss);
+      cwnd_ = ssthresh_ + 3 * static_cast<std::uint64_t>(kMss);
       arm_rto();
     }
   }
@@ -405,7 +412,7 @@ void TcpSocket::try_send() {
     const std::uint64_t room = window - (snd_nxt_ - snd_una_);
     const std::uint64_t avail = send_buffer_end_ - snd_nxt_;
     const auto len = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>({cfg_.mss, room, avail}));
+        std::min<std::uint64_t>({kMss, room, avail}));
     if (len == 0) break;
     const bool is_rtx = snd_nxt_ < high_water_;
     send_segment(snd_nxt_, len, is_rtx);
@@ -477,7 +484,7 @@ void TcpSocket::retransmit_head(const char* reason) {
     return;
   }
   const auto len = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-      cfg_.mss, send_buffer_end_ - snd_una_));
+      kMss, send_buffer_end_ - snd_una_));
   sim::logf(LogLevel::kDebug, stack_.sim().now(),
             "tcp %s: retransmit seq=%llu len=%u (%s)",
             local_.to_string().c_str(),
@@ -536,7 +543,7 @@ void TcpSocket::on_rto_expired() {
     reset();
     return;
   }
-  rto_ = std::min(rto_ * 2.0, cfg_.max_rto);
+  rto_ = std::min(rto_ * 2.0, kMaxRto);
 
   switch (state_) {
     case State::kSynSent:
@@ -556,8 +563,8 @@ void TcpSocket::on_rto_expired() {
   // Loss recovery by timeout: multiplicative decrease, restart slow start,
   // go-back-N from the first unacked byte.
   const std::uint64_t flight = snd_nxt_ - snd_una_;
-  ssthresh_ = std::max<std::uint64_t>(flight / 2, 2 * cfg_.mss);
-  cwnd_ = cfg_.mss;
+  ssthresh_ = std::max<std::uint64_t>(flight / 2, 2 * kMss);
+  cwnd_ = kMss;
   in_fast_recovery_ = false;
   dupacks_ = 0;
   timing_ = false;  // Karn: never time a retransmitted window
@@ -576,7 +583,7 @@ void TcpSocket::update_rtt(Time sample) {
     rttvar_ = rttvar_ * 0.75 + err * 0.25;
     srtt_ = srtt_ * 0.875 + sample * 0.125;
   }
-  rto_ = std::clamp(srtt_ + 4.0 * rttvar_, cfg_.min_rto, cfg_.max_rto);
+  rto_ = std::clamp(srtt_ + 4.0 * rttvar_, cfg_.min_rto, kMaxRto);
 }
 
 void TcpSocket::finish_close() {
@@ -610,25 +617,22 @@ TcpStack::~TcpStack() {
   }
 }
 
-TcpStack::TcpStack(net::Node& node, TcpConfig default_config)
-    : node_{node}, default_config_{default_config} {
+TcpStack::TcpStack(net::Node& node, TcpConfig config)
+    : node_{node}, config_{config} {
   node_.register_protocol_handler(
       net::Protocol::kTcp,
       [this](const net::PacketPtr& p, net::Interface*) { on_packet(p); });
 }
 
-void TcpStack::listen(std::uint16_t port, AcceptCallback cb,
-                      std::optional<TcpConfig> cfg) {
-  listeners_[port] = Listener{std::move(cb), cfg.value_or(default_config_)};
+void TcpStack::listen(std::uint16_t port, AcceptCallback cb) {
+  listeners_[port] = std::move(cb);
 }
 
-TcpSocket::Ptr TcpStack::connect(net::Endpoint remote,
-                                 std::optional<TcpConfig> cfg) {
+TcpSocket::Ptr TcpStack::connect(net::Endpoint remote) {
   MCS_ASSERT(!remote.addr.is_unspecified() && remote.port != 0,
              "connect() needs a concrete remote address and port");
   const net::Endpoint local{node_.addr(), allocate_port()};
-  TcpSocket::Ptr sock{
-      new TcpSocket(*this, local, remote, cfg.value_or(default_config_))};
+  TcpSocket::Ptr sock{new TcpSocket(*this, local, remote)};
   connections_[ConnKey{local.port, remote}] = sock;
   sock->start_connect();
   return sock;
@@ -657,8 +661,8 @@ void TcpStack::on_packet(const net::PacketPtr& p) {
     if (lit != listeners_.end()) {
       const net::Endpoint local{p->dst, p->tcp.dst_port};
       const net::Endpoint remote{p->src, p->tcp.src_port};
-      TcpSocket::Ptr sock{new TcpSocket(*this, local, remote, lit->second.cfg)};
-      AcceptCallback& accept_cb = lit->second.cb;
+      TcpSocket::Ptr sock{new TcpSocket(*this, local, remote)};
+      AcceptCallback& accept_cb = lit->second;
       sock->on_connected = [accept_cb, sock]() mutable {
         // Surface the established connection to the application.
         if (accept_cb) accept_cb(sock);

@@ -5,7 +5,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -19,14 +18,10 @@ namespace mcs::transport {
 
 // Tuning knobs; defaults match classic wired TCP Reno.
 struct TcpConfig {
-  std::uint32_t mss = 1460;                    // max segment payload bytes
-  std::uint32_t initial_cwnd_segments = 2;
   std::uint32_t recv_window = 256 * 1024;      // advertised window
   sim::Time initial_rto = sim::Time::seconds(1.0);
   sim::Time min_rto = sim::Time::millis(200);
-  sim::Time max_rto = sim::Time::seconds(60.0);
   int max_retries = 12;
-  int dupack_threshold = 3;
   // §5.2 (Caceres & Iftode): on handoff notification, immediately retransmit
   // from the first unacked byte and reset the RTO instead of waiting for a
   // (backed-off) timeout.
@@ -101,16 +96,12 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   sim::Time srtt() const { return srtt_; }
   sim::Time current_rto() const { return rto_; }
   std::uint64_t bytes_in_flight() const { return snd_nxt_ - snd_una_; }
-  std::uint64_t unsent_bytes() const {
-    return send_buffer_end_ - snd_nxt_;
-  }
 
   ~TcpSocket();
 
  private:
   friend class TcpStack;
-  TcpSocket(TcpStack& stack, net::Endpoint local, net::Endpoint remote,
-            TcpConfig cfg);
+  TcpSocket(TcpStack& stack, net::Endpoint local, net::Endpoint remote);
 
   // Stack entry points.
   void start_connect();
@@ -221,7 +212,7 @@ class TcpStack {
  public:
   using AcceptCallback = std::function<void(TcpSocket::Ptr)>;
 
-  TcpStack(net::Node& node, TcpConfig default_config = {});
+  TcpStack(net::Node& node, TcpConfig config = {});
   TcpStack(const TcpStack&) = delete;
   TcpStack& operator=(const TcpStack&) = delete;
   // Detaches callbacks on every still-open connection. Application code
@@ -231,19 +222,16 @@ class TcpStack {
   ~TcpStack();
 
   // Accept connections on `port`; the callback fires once per established
-  // connection.
-  void listen(std::uint16_t port, AcceptCallback cb,
-              std::optional<TcpConfig> cfg = std::nullopt);
+  // connection. Every connection runs the stack's config.
+  void listen(std::uint16_t port, AcceptCallback cb);
   // Open a connection; returns immediately, `on_connected` fires later.
-  TcpSocket::Ptr connect(net::Endpoint remote,
-                         std::optional<TcpConfig> cfg = std::nullopt);
+  TcpSocket::Ptr connect(net::Endpoint remote);
 
   // Notify every socket on this node of a link-layer handoff (§5.2).
   void notify_handoff_all();
 
   net::Node& node() { return node_; }
   sim::Simulator& sim() { return node_.sim(); }
-  const TcpConfig& default_config() const { return default_config_; }
   std::size_t active_connections() const { return connections_.size(); }
 
  private:
@@ -266,12 +254,8 @@ class TcpStack {
   std::uint16_t allocate_port();
 
   net::Node& node_;
-  TcpConfig default_config_;
-  struct Listener {
-    AcceptCallback cb;
-    TcpConfig cfg;
-  };
-  std::unordered_map<std::uint16_t, Listener> listeners_;
+  TcpConfig config_;
+  std::unordered_map<std::uint16_t, AcceptCallback> listeners_;
   std::unordered_map<ConnKey, TcpSocket::Ptr, ConnKeyHash> connections_;
   std::uint16_t next_ephemeral_ = 32768;
 };

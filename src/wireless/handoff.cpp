@@ -8,6 +8,11 @@
 
 namespace mcs::wireless {
 
+namespace {
+// How often the manager re-evaluates the best cell.
+constexpr sim::Time kCheckInterval = sim::Time::millis(500);
+}  // namespace
+
 HandoffManager::HandoffManager(sim::Simulator& sim, net::Interface* station,
                                const MobilityModel* mobility,
                                std::vector<WirelessMedium*> cells,
@@ -20,8 +25,6 @@ HandoffManager::HandoffManager(sim::Simulator& sim, net::Interface* station,
   MCS_ASSERT(station_ != nullptr, "handoff manager needs a station interface");
   MCS_ASSERT(mobility_ != nullptr, "handoff manager needs a mobility model");
   MCS_ASSERT(cfg_.hysteresis_m >= 0.0, "handoff hysteresis must be >= 0");
-  MCS_ASSERT(cfg_.check_interval > sim::Time::zero(),
-             "handoff check interval must be positive");
   for (const WirelessMedium* cell : cells_) {
     MCS_ASSERT(cell != nullptr, "handoff cell list contains a null cell");
   }
@@ -72,7 +75,7 @@ void HandoffManager::check() {
     }
   }
   if (switch_now && candidate != current_) switch_to(candidate);
-  timer_ = sim_.after(cfg_.check_interval, [this] { check(); });
+  timer_ = sim_.after(kCheckInterval, [this] { check(); });
 }
 
 void HandoffManager::switch_to(WirelessMedium* target) {

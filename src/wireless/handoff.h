@@ -9,7 +9,6 @@
 namespace mcs::wireless {
 
 struct HandoffConfig {
-  sim::Time check_interval = sim::Time::millis(500);
   // A candidate cell must be this much closer before we switch; prevents
   // ping-ponging on the boundary between two cells.
   double hysteresis_m = 20.0;

@@ -12,6 +12,9 @@ namespace {
 // Radio propagation is effectively instantaneous at cell scale; a small
 // constant covers preamble/IFS overheads.
 constexpr sim::Time kAirPropagation = sim::Time::micros(5);
+// CSMA/CA contention: each extra associated station inflates service time
+// by this factor (unless the MAC is scheduled).
+constexpr double kCsmaContentionAlpha = 0.08;
 }  // namespace
 
 WirelessMedium::WirelessMedium(sim::Simulator& sim, std::string name,
@@ -104,7 +107,7 @@ bool WirelessMedium::has_call(const net::Interface* station) const {
 
 double WirelessMedium::contention_factor() const {
   if (cfg_.scheduled_mac || stations_.size() <= 1) return 1.0;
-  return 1.0 + cfg_.csma_contention_alpha *
+  return 1.0 + kCsmaContentionAlpha *
                    static_cast<double>(stations_.size() - 1);
 }
 

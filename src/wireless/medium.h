@@ -19,9 +19,7 @@ namespace mcs::wireless {
 
 struct WirelessConfig {
   PhyProfile phy;
-  // CSMA/CA contention: each extra active station inflates service time by
-  // this factor. Scheduled (cellular) MACs set scheduled_mac instead.
-  double csma_contention_alpha = 0.08;
+  // Scheduled (cellular) MACs serve stations without CSMA/CA contention.
   bool scheduled_mac = false;
   // Gilbert-Elliott burst errors per station (the error-prone wireless
   // channel of §5.2): in the bad state, frames are additionally lost with
@@ -69,7 +67,6 @@ class WirelessMedium : public net::Channel {
   void place_call(net::Interface* station, std::function<void(bool)> done);
   void end_call(net::Interface* station);
   bool has_call(const net::Interface* station) const;
-  int calls_in_progress() const { return calls_; }
 
   // --- net::Channel -----------------------------------------------------------
   void transmit(net::Interface* from, net::IpAddress next_hop,

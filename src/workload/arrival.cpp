@@ -35,11 +35,13 @@ class PoissonArrivals final : public ArrivalProcess {
 // restarting the interarrival sample at a state boundary is exact.
 class OnOffArrivals final : public ArrivalProcess {
  public:
-  OnOffArrivals(double rate, double burst_factor, sim::Time mean_on,
-                sim::Time mean_off)
-      : mean_on_{mean_on}, mean_off_{mean_off} {
+  // Mean dwell times of the two states.
+  static constexpr sim::Time kMeanOn = sim::Time::seconds(2.0);
+  static constexpr sim::Time kMeanOff = sim::Time::seconds(6.0);
+
+  OnOffArrivals(double rate, double burst_factor) {
     const double duty =
-        mean_on.to_seconds() / (mean_on + mean_off).to_seconds();
+        kMeanOn.to_seconds() / (kMeanOn + kMeanOff).to_seconds();
     rate_on_ = rate * burst_factor;
     // Solve duty*rate_on + (1-duty)*rate_off = rate for rate_off; a burst
     // factor too large for the duty cycle clamps to an idle OFF state (the
@@ -54,7 +56,7 @@ class OnOffArrivals final : public ArrivalProcess {
       if (t >= state_until_) {
         on_ = !on_;
         const double mean_dwell =
-            (on_ ? mean_on_ : mean_off_).to_seconds();
+            (on_ ? kMeanOn : kMeanOff).to_seconds();
         state_until_ = t + sim::Time::seconds(rng.exponential(mean_dwell));
       }
       const double rate = on_ ? rate_on_ : rate_off_;
@@ -70,8 +72,6 @@ class OnOffArrivals final : public ArrivalProcess {
   }
 
  private:
-  sim::Time mean_on_;
-  sim::Time mean_off_;
   double rate_on_ = 0.0;
   double rate_off_ = 0.0;
   bool on_ = false;  // first call flips to ON, so bursts start immediately
@@ -117,8 +117,7 @@ std::unique_ptr<ArrivalProcess> ArrivalProcess::make(
     case ArrivalKind::kOnOff:
       MCS_ASSERT(cfg.burst_factor >= 1.0,
                  "on-off burst factor must be >= 1");
-      return std::make_unique<OnOffArrivals>(cfg.rate_tps, cfg.burst_factor,
-                                             cfg.mean_on, cfg.mean_off);
+      return std::make_unique<OnOffArrivals>(cfg.rate_tps, cfg.burst_factor);
     case ArrivalKind::kDiurnal:
       return std::make_unique<DiurnalArrivals>(cfg.rate_tps, cfg.period,
                                                cfg.amplitude);

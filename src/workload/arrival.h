@@ -26,11 +26,10 @@ struct ArrivalConfig {
   ArrivalKind kind = ArrivalKind::kPoisson;
   double rate_tps = 1.0;  // long-run mean arrival rate
 
-  // kOnOff: the ON state arrives at burst_factor * rate_tps; the OFF-state
-  // rate is derived so the duty-cycle-weighted mean stays rate_tps.
+  // kOnOff: bursts alternate with quiet spells of fixed mean lengths. The ON
+  // state arrives at burst_factor * rate_tps; the OFF-state rate is derived
+  // so the duty-cycle-weighted mean stays rate_tps.
   double burst_factor = 3.0;
-  sim::Time mean_on = sim::Time::seconds(2.0);
-  sim::Time mean_off = sim::Time::seconds(6.0);
 
   // kDiurnal: rate(t) = rate_tps * (1 + amplitude * sin(2*pi*t/period)).
   sim::Time period = sim::Time::seconds(60.0);

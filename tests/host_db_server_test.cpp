@@ -384,7 +384,7 @@ std::string fresh_line(const Row& row) {
 
 std::string rows_answer(const std::vector<Row>& rows) {
   std::string out = sim::strf("ROWS %zu", rows.size());
-  for (const Row& r : rows) out += "\n" + fresh_line(r);
+  for (const Row& r : rows) out.append("\n").append(fresh_line(r));
   return out + "\n";
 }
 

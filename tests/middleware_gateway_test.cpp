@@ -251,7 +251,7 @@ TEST_F(GatewayFixture, IModeGatewayServesChtml) {
   host::HttpClient phone_http{*phone_tcp};
   std::optional<host::HttpResponse> got;
   phone_http.get({gateway->addr(), kIModeGatewayPort},
-                 "/" + web_host() + "/index.html",
+                 sim::cat("/", web_host(), "/index.html"),
                  [&](host::HttpResponse* r) { if (r) got = *r; });
   sim.run();
   ASSERT_TRUE(got.has_value());
@@ -268,7 +268,7 @@ TEST_F(GatewayFixture, IModePersistentConnectionHandlesManyRequests) {
   int done = 0;
   for (int i = 0; i < 5; ++i) {
     phone_http.get({gateway->addr(), kIModeGatewayPort},
-                   "/" + web_host() + "/index.html",
+                   sim::cat("/", web_host(), "/index.html"),
                    [&](host::HttpResponse* r) {
                      if (r != nullptr && r->status == 200) ++done;
                    });
@@ -333,7 +333,7 @@ struct MemoFixture : GatewayFixture {
                           const std::string& path) {
     std::optional<host::HttpResponse> got;
     phone_http.get({gateway->addr(), kIModeGatewayPort},
-                   "/" + web_host() + path,
+                   sim::cat("/", web_host(), path),
                    [&](host::HttpResponse* r) { if (r) got = *r; });
     sim.run();
     return got.has_value() && got->status == 200 ? got->body : "<failed>";

@@ -62,12 +62,10 @@ SEVERITY["shard-escape"] = "warning"  # audit check: baselined until sharding
 # Files allowed to use the raw <random> machinery: the seeded wrapper itself.
 RNG_EXEMPT = re.compile(r"(^|/)sim/random\.(h|cpp)$")
 
-# Files allowed to read the host clock: the trace exporter's explicit
-# wallclock anchor (obs/trace_clock.h) and the telemetry overhead stopwatch
-# (obs/telemetry_clock.h). Both are opt-in measurement tools that never feed
-# simulated behaviour or default outputs.
-WALLCLOCK_EXEMPT = re.compile(
-    r"(^|/)obs/(trace_clock|telemetry_clock)\.(h|cpp)$")
+# The one file allowed to read the host clock: the telemetry overhead
+# stopwatch (obs/telemetry_clock.h), an opt-in measurement tool that never
+# feeds simulated behaviour or default outputs.
+WALLCLOCK_EXEMPT = re.compile(r"(^|/)obs/telemetry_clock\.(h|cpp)$")
 
 RAW_ENGINES = frozenset(
     "mt19937 mt19937_64 minstd_rand minstd_rand0 ranlux24 ranlux48 "

@@ -1,4 +1,4 @@
-// Fixture: the wallclock exemption whitelists exactly obs/trace_clock.h and
+// Fixture: the wallclock exemption whitelists exactly
 // obs/telemetry_clock.h — a host-clock read in any OTHER file under obs/
 // (say, a profiler "optimisation" that swaps sim time for host time) must
 // still be flagged, or wallclock reads could hide behind the directory name.

@@ -1,11 +1,11 @@
 #pragma once
 
 // Fixture: the wallclock exemption is per-file, keyed on the path
-// obs/telemetry_clock.h — the telemetry overhead stopwatch is the sanctioned
-// host-clock reader (alongside obs/trace_clock.h). Every steady_clock read
-// below must pass clean. The companion bad fixture
-// (bad/src/obs/unexempt_clock.cpp) proves the exemption does NOT extend to
-// the rest of the obs/ directory.
+// obs/telemetry_clock.h — the telemetry overhead stopwatch is the one
+// sanctioned host-clock reader. Every steady_clock read below must pass
+// clean. The companion bad fixtures (bad/src/obs/unexempt_clock.cpp and
+// bad/src/obs/trace_clock.h) prove the exemption does NOT extend to the
+// rest of the obs/ directory.
 #include <chrono>
 #include <cstdint>
 

@@ -32,6 +32,7 @@ EXPECT_BAD = {
     "sim_escape.cpp": {"sim-escape": 2},
     "src/net/missing_contract.cpp": {"missing-contract": 1},
     "src/obs/unexempt_clock.cpp": {"wallclock": 1},
+    "src/obs/trace_clock.h": {"wallclock": 1},
     "hotpath_alloc.cpp": {"hotpath-alloc": 5},
     "shard_escape.cpp": {"shard-escape": 3},
     "lock_order.cpp": {"lock-order": 4},
