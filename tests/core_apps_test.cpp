@@ -230,5 +230,86 @@ TEST(MediaPagesTest, TrackOneDigestIsPinned) {
   EXPECT_EQ(sim::fnv1a(media_pages(11)[0]), 0x9df6ba672c0d5c6dull);
 }
 
+// --- Catalog page ------------------------------------------------------------
+// The /shop/catalog page is pinned byte for byte: ids, names and prices as
+// the page shows them, the personalized order and the spending-limit filter.
+
+// The raw HTML of /shop/catalog for `user`, served by an EC system (no
+// middleware between the page and the client) after `prepare` has run on
+// the installed system.
+template <typename Prepare>
+std::string catalog_page(const std::string& user, Prepare prepare) {
+  sim::Simulator sim;
+  EcSystem sys{sim};
+  seed_demo_accounts(sys.bank());
+  auto apps = make_all_applications();
+  install_all(apps, env_for_ec(sys, sim));
+  prepare(sys);
+  std::optional<FetchResult> got;
+  sys.client(0).driver->fetch(sys.web_url("/shop/catalog?user=" + user),
+                              [&](FetchResult r) { got = std::move(r); });
+  sim.run_until(sim::Time::minutes(1.0));
+  if (!got.has_value() || !got->ok) return "fetch failed";
+  return got->raw;
+}
+
+TEST(CatalogPageTest, SeededCatalogIsPinned) {
+  EXPECT_EQ(catalog_page("acct1", [](EcSystem&) {}),
+            "<html><head><title>Catalog</title></head><body><h1>Catalog</h1>"
+            "<ul>"
+            "<li><a href=\"/shop/buy?item=1\">Product 1 ($12.99)</a></li>"
+            "<li><a href=\"/shop/buy?item=2\">Product 2 ($15.99)</a></li>"
+            "<li><a href=\"/shop/buy?item=3\">Product 3 ($18.99)</a></li>"
+            "<li><a href=\"/shop/buy?item=4\">Product 4 ($21.99)</a></li>"
+            "<li><a href=\"/shop/buy?item=5\">Product 5 ($24.99)</a></li>"
+            "<li><a href=\"/shop/buy?item=6\">Product 6 ($27.99)</a></li>"
+            "<li><a href=\"/shop/buy?item=7\">Product 7 ($30.99)</a></li>"
+            "<li><a href=\"/shop/buy?item=8\">Product 8 ($33.99)</a></li>"
+            "<li><a href=\"/shop/buy?item=9\">Product 9 ($36.99)</a></li>"
+            "<li><a href=\"/shop/buy?item=10\">Product 10 ($39.99)</a></li>"
+            "</ul></body></html>");
+}
+
+// A profiled shopper: interests rank the categories, the spending limit
+// drops dearer items, and names with '|', '%', a space and UTF-8 bytes
+// travel the escaped wire form and come back verbatim.
+TEST(CatalogPageTest, ProfiledCatalogWithEscapedNamesIsPinned) {
+  const std::string page = catalog_page("shopper", [](EcSystem& sys) {
+    auto& db = sys.database();
+    db.insert("products", {std::int64_t{25}, std::string{"Pipe|Dream 100%"},
+                           std::string{"gifts"}, 0.1 + 0.2, std::int64_t{3}});
+    db.insert("products",
+              {std::int64_t{26}, std::string{"Caf\xC3\xA9 cr\xC3\xA8me %7C"},
+               std::string{"gifts"}, 39.9999999, std::int64_t{3}});
+    db.insert("products", {std::int64_t{27}, std::string{"Gold|Watch"},
+                           std::string{"gifts"}, 1.0e7, std::int64_t{1}});
+    db.insert("products", {std::int64_t{28}, std::string{"\xE2\x82\xAC-Coin"},
+                           std::string{"gifts"}, 21.99, std::int64_t{9}});
+    UserProfile p;
+    p.user_id = "shopper";
+    p.interests = {"gifts", "books"};
+    p.spending_limit = 40.0;
+    sys.personalization().upsert_profile(p);
+  });
+  // 0.1 + 0.2 shows as "0.3"; 39.9999999 shows as "40" and, read back from
+  // that text, is not over the limit; 1e7 is.
+  EXPECT_EQ(page,
+            "<html><head><title>Catalog</title></head><body><h1>Catalog</h1>"
+            "<ul>"
+            "<li><a href=\"/shop/buy?item=25\">Pipe|Dream 100% ($0.3)</a></li>"
+            "<li><a href=\"/shop/buy?item=28\">\xE2\x82\xAC-Coin ($21.99)"
+            "</a></li>"
+            "<li><a href=\"/shop/buy?item=26\">Caf\xC3\xA9 cr\xC3\xA8me %7C "
+            "($40)</a></li>"
+            "<li><a href=\"/shop/buy?item=1\">Product 1 ($12.99)</a></li>"
+            "<li><a href=\"/shop/buy?item=5\">Product 5 ($24.99)</a></li>"
+            "<li><a href=\"/shop/buy?item=9\">Product 9 ($36.99)</a></li>"
+            "<li><a href=\"/shop/buy?item=2\">Product 2 ($15.99)</a></li>"
+            "<li><a href=\"/shop/buy?item=3\">Product 3 ($18.99)</a></li>"
+            "<li><a href=\"/shop/buy?item=4\">Product 4 ($21.99)</a></li>"
+            "<li><a href=\"/shop/buy?item=6\">Product 6 ($27.99)</a></li>"
+            "</ul></body></html>");
+}
+
 }  // namespace
 }  // namespace mcs::core
