@@ -75,7 +75,7 @@ void BM_WalPolicy(benchmark::State& state) {
       const int id = c * 1000 + left;
       dbclients[static_cast<std::size_t>(c)]->insert(
           0, "t", {sim::strf("%d", id), "row"},
-          [&, c, left, t0](host::db::DbClient::Result r) {
+          [&, c, left, t0](const host::db::DbClient::Result& r) {
             if (r.ok) ++done;
             latency.record((sim.now() - t0).to_millis());
             issue(c, left - 1);

@@ -12,9 +12,9 @@ namespace mcs::core {
 using host::HttpRequest;
 using host::HttpResponse;
 using host::query_param;
+using host::db::DbClient;
 using host::db::int_field;
 using host::db::real_field;
-using host::db::Value;
 using host::db::ValueType;
 using sim::strf;
 
@@ -104,32 +104,28 @@ class CommerceApp final : public Application {
                                  host::AppServer::Context& ctx, auto respond) {
       const std::string user = query_param(req.path, "user");
       ctx.db->scan("products", [this, user, respond](
-                                   host::db::DbClient::Result r) {
+                                   const DbClient::Result& r) {
         if (!r.ok) {
           respond(HttpResponse::server_error("db down"));
           return;
         }
-        // Typed rows for the personalizer, built straight from the views.
-        std::vector<host::db::Row> rows;
-        rows.reserve(r.rows.size());
-        for (const auto& f : r.rows) {
-          if (f.size() < 5) continue;
-          rows.push_back({int_field(f[0]), std::string{f[1]},
-                          std::string{f[2]}, real_field(f[3]),
-                          int_field(f[4])});
+        // Rank row indices over the answer, then write each listed item
+        // straight from its fields: the server encodes ids and prices with
+        // append_value, so their text is what formatting the typed values
+        // again would give, byte for byte.
+        order_.clear();
+        for (std::size_t i = 0; i < r.rows.size(); ++i) {
+          if (r.rows[i].size() >= 5) order_.push_back(i);
         }
-        rows = env_.personalization->personalize_catalog(user, std::move(rows),
-                                                         2, 3);
+        env_.personalization->rank_catalog(
+            user, order_, [&r](std::size_t i) { return r.rows[i][2]; },
+            [&r](std::size_t i) { return real_field(r.rows[i][3]); });
         std::string body = "<ul>";
         sim::BufWriter w{body};
-        for (std::size_t i = 0; i < rows.size() && i < 10; ++i) {
-          w.put("<li><a href=\"/shop/buy?item=");
-          host::db::append_value(w, rows[i][0]);
-          w.put("\">");
-          host::db::append_value(w, rows[i][1]);
-          w.put(" ($");
-          host::db::append_value(w, rows[i][3]);
-          w.put(")</a></li>");
+        for (std::size_t k = 0; k < order_.size() && k < 10; ++k) {
+          const auto item = r.rows[order_[k]];
+          w.put("<li><a href=\"/shop/buy?item=").put(item[0]).put("\">");
+          w.put(item[1]).put(" ($").put(item[3]).put(")</a></li>");
         }
         w.put("</ul>");
         respond(HttpResponse::make(200, "text/html",
@@ -148,7 +144,7 @@ class CommerceApp final : public Application {
         return;
       }
       ctx.db->get("products", item, [this, item, user, key, ctx, respond](
-                                        host::db::DbClient::Result r) mutable {
+                                        const DbClient::Result& r) mutable {
         if (!r.ok || r.rows.empty()) {
           respond(HttpResponse::not_found("item " + item));
           return;
@@ -173,7 +169,7 @@ class CommerceApp final : public Application {
           }
           ctx.db->update(0, "products", item, 4,
                          std::string{sim::i64s(stock - 1)},
-                         [](host::db::DbClient::Result) {});
+                         [](const DbClient::Result&) {});
           respond(HttpResponse::make(
               200, "text/html",
               html_page("Receipt", "<p>ORDER-OK " + o.order_id + "</p>")));
@@ -215,6 +211,8 @@ class CommerceApp final : public Application {
 
  private:
   AppEnvironment env_;
+  // The catalog's ranked row indices, reused across requests.
+  std::vector<std::size_t> order_;
 };
 
 // ---------------------------------------------------------------------------
@@ -314,7 +312,7 @@ class ErpApp final : public Application {
                              host::AppServer::Context& ctx, auto respond) {
       const std::string id = query_param(req.path, "resource");
       ctx.db->get("resources", id,
-                  [id, respond](host::db::DbClient::Result r) {
+                  [id, respond](const DbClient::Result& r) {
         if (!r.ok || r.rows.empty()) {
           respond(HttpResponse::not_found(id));
           return;
@@ -331,7 +329,7 @@ class ErpApp final : public Application {
       const std::string id = query_param(req.path, "resource");
       const int qty = std::atoi(query_param(req.path, "qty").c_str());
       ctx.db->get("resources", id, [id, qty, ctx, respond](
-                                       host::db::DbClient::Result r) mutable {
+                                       const DbClient::Result& r) mutable {
         if (!r.ok || r.rows.empty()) {
           respond(HttpResponse::not_found(id));
           return;
@@ -344,7 +342,7 @@ class ErpApp final : public Application {
         }
         ctx.db->update(0, "resources", id, 1,
                        std::string{sim::i64s(avail - qty)},
-                       [respond](host::db::DbClient::Result u) mutable {
+                       [respond](const DbClient::Result& u) mutable {
           respond(HttpResponse::make(
               200, "text/html",
               html_page("ERP", u.ok ? "<p>ALLOC-OK</p>"
@@ -471,7 +469,7 @@ class HealthCareApp final : public Application {
       }
       const std::string id = query_param(req.path, "patient");
       ctx.db->get("patients", id,
-                  [id, respond](host::db::DbClient::Result r) {
+                  [id, respond](const DbClient::Result& r) {
         if (!r.ok || r.rows.empty()) {
           respond(HttpResponse::not_found(id));
           return;
@@ -542,7 +540,7 @@ class InventoryApp final : public Application {
         respond(HttpResponse::bad_request("no vehicle"));
         return;
       }
-      auto finish = [respond](host::db::DbClient::Result r) mutable {
+      auto finish = [respond](const DbClient::Result& r) mutable {
         respond(HttpResponse::make(
             200, "text/html",
             html_page("Track", r.ok ? "<p>REPORT-OK</p>"
@@ -552,16 +550,16 @@ class InventoryApp final : public Application {
       // race with another reporter, fall back to update once more.
       ctx.db->update(0, "positions", vehicle, 1, x,
                      [vehicle, x, y, ctx, finish](
-                         host::db::DbClient::Result r) mutable {
+                         const DbClient::Result& r) mutable {
         if (r.ok) {
           ctx.db->update(0, "positions", vehicle, 2, y, std::move(finish));
           return;
         }
         ctx.db->insert(0, "positions", {vehicle, x, y, "parcels"},
                        [vehicle, y, ctx, finish](
-                           host::db::DbClient::Result ins) mutable {
+                           const DbClient::Result& ins) mutable {
           if (ins.ok) {
-            finish(std::move(ins));
+            finish(ins);
             return;
           }
           ctx.db->update(0, "positions", vehicle, 2, y, std::move(finish));
@@ -573,7 +571,7 @@ class InventoryApp final : public Application {
                              host::AppServer::Context& ctx, auto respond) {
       const std::string vehicle = query_param(req.path, "vehicle");
       ctx.db->get("positions", vehicle,
-                  [respond](host::db::DbClient::Result r) mutable {
+                  [respond](const DbClient::Result& r) mutable {
         if (!r.ok || r.rows.empty()) {
           respond(HttpResponse::make(
               200, "text/html", html_page("Track", "<p>UNKNOWN-VEHICLE</p>")));
@@ -659,7 +657,7 @@ class TrafficApp final : public Application {
       const int zone = (static_cast<int>(x / 100.0) +
                         static_cast<int>(y / 100.0) * 4) % 8;
       ctx.db->find_by("advisories", 1, strf("%d", zone),
-                      [respond](host::db::DbClient::Result r) mutable {
+                      [respond](const DbClient::Result& r) mutable {
         if (!r.ok) {
           respond(HttpResponse::server_error("db"));
           return;
@@ -732,7 +730,7 @@ class TravelApp final : public Application {
                              host::AppServer::Context& ctx, auto respond) {
       const std::string route = query_param(req.path, "route");
       ctx.db->find_by("flights", 1, route,
-                      [respond](host::db::DbClient::Result r) mutable {
+                      [respond](const DbClient::Result& r) mutable {
         if (!r.ok) {
           respond(HttpResponse::server_error("db"));
           return;
@@ -757,7 +755,7 @@ class TravelApp final : public Application {
       const std::string user = query_param(req.path, "user");
       const std::string key = query_param(req.path, "key");
       ctx.db->get("flights", flight, [this, flight, user, key, ctx, respond](
-                                         host::db::DbClient::Result r) mutable {
+                                         const DbClient::Result& r) mutable {
         if (!r.ok || r.rows.empty()) {
           respond(HttpResponse::not_found(flight));
           return;
@@ -780,7 +778,7 @@ class TravelApp final : public Application {
           }
           ctx.db->update(0, "flights", flight, 3,
                          std::string{sim::i64s(seats - 1)},
-                         [](host::db::DbClient::Result) {});
+                         [](const DbClient::Result&) {});
           respond(HttpResponse::make(
               200, "text/html",
               html_page("Ticket", "<p>TICKET-OK " + o.order_id + "</p>")));

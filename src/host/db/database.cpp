@@ -63,14 +63,14 @@ Transaction::~Transaction() {
 }
 
 bool Transaction::lock(const Table& table) {
-  if (!db_.try_lock(table.name(), id_)) return false;
+  if (!Database::try_lock(table, id_)) return false;
   for (std::size_t i = 0; i < locked_count_; ++i) {
-    if (locked_tables_[i] == &table.name()) return true;  // already held
+    if (locked_tables_[i] == &table) return true;  // already held
   }
   MCS_ASSERT(locked_count_ < kMaxLockedTables,
              "transaction locked more tables than the inline lock table "
              "holds; raise kMaxLockedTables");
-  locked_tables_[locked_count_++] = &table.name();
+  locked_tables_[locked_count_++] = &table;
   return true;
 }
 
@@ -153,7 +153,7 @@ bool Transaction::commit() {
   for (const auto& op : redo_) db_.wal_.append(id_, op);
   db_.wal_.append(id_, "COMMIT");
   state_ = State::kCommitted;
-  db_.unlock_all(id_, {locked_tables_.data(), locked_count_});
+  Database::unlock_all(id_, {locked_tables_.data(), locked_count_});
   ++db_.committed_;
   MCS_INVARIANT(state_ != State::kActive,
                 "a committed transaction can never mutate again");
@@ -179,7 +179,7 @@ void Transaction::abort() {
     }
   }
   state_ = State::kAborted;
-  db_.unlock_all(id_, {locked_tables_.data(), locked_count_});
+  Database::unlock_all(id_, {locked_tables_.data(), locked_count_});
   ++db_.aborted_;
   MCS_INVARIANT(state_ == State::kAborted,
                 "abort must land in the terminal state even when undo "
@@ -195,6 +195,8 @@ Table& Database::create_table(const std::string& table,
                               std::size_t primary_key_col) {
   MCS_ASSERT(!table.empty(), "tables are addressed by name everywhere; "
                              "an unnamed table would be unreachable");
+  MCS_ASSERT(!tables_.contains(table),
+             "a table is created once: transactions hold pointers to it");
   auto t = std::make_unique<Table>(table, std::move(columns), primary_key_col);
   Table& ref = *t;
   tables_[table] = std::move(t);
@@ -226,12 +228,9 @@ std::unique_ptr<Transaction> Database::begin() {
 }
 
 bool Database::insert(const std::string& table, Row row) {
-  // Spelled-out type: mcs-analyze resolves txn->insert to the analyzed
-  // Transaction body (an `auto` local would double-count its allocations
-  // here as an unresolved call).
-  std::unique_ptr<Transaction> txn = begin();
-  const bool ok = txn->insert(table, std::move(row)) && txn->commit();
-  MCS_INVARIANT(!ok || !txn->active(),
+  Transaction txn{*this, next_txn_++};
+  const bool ok = txn.insert(table, std::move(row)) && txn.commit();
+  MCS_INVARIANT(!ok || !txn.active(),
                 "autocommit must never return success with the "
                 "transaction (and its table lock) still open");
   return ok;
@@ -239,37 +238,35 @@ bool Database::insert(const std::string& table, Row row) {
 
 bool Database::update(const std::string& table, const Value& pk,
                       std::size_t col, const Value& v) {
-  auto txn = begin();
-  const bool ok = txn->update(table, pk, col, v) && txn->commit();
-  MCS_INVARIANT(!ok || !txn->active(),
+  Transaction txn{*this, next_txn_++};
+  const bool ok = txn.update(table, pk, col, v) && txn.commit();
+  MCS_INVARIANT(!ok || !txn.active(),
                 "autocommit must never return success with the "
                 "transaction (and its table lock) still open");
   return ok;
 }
 
 bool Database::erase(const std::string& table, const Value& pk) {
-  auto txn = begin();
-  const bool ok = txn->erase(table, pk) && txn->commit();
-  MCS_INVARIANT(!ok || !txn->active(),
+  Transaction txn{*this, next_txn_++};
+  const bool ok = txn.erase(table, pk) && txn.commit();
+  MCS_INVARIANT(!ok || !txn.active(),
                 "autocommit must never return success with the "
                 "transaction (and its table lock) still open");
   return ok;
 }
 
-bool Database::try_lock(const std::string& table, std::uint64_t txn) {
-  auto it = table_locks_.find(table);
-  if (it == table_locks_.end()) {
-    table_locks_[table] = txn;
+bool Database::try_lock(const Table& table, std::uint64_t txn) {
+  if (table.lock_owner_ == 0) {
+    table.lock_owner_ = txn;
     return true;
   }
-  return it->second == txn;
+  return table.lock_owner_ == txn;
 }
 
 void Database::unlock_all(std::uint64_t txn,
-                          std::span<const std::string* const> tables) {
-  for (const std::string* t : tables) {
-    auto it = table_locks_.find(*t);
-    if (it != table_locks_.end() && it->second == txn) table_locks_.erase(it);
+                          std::span<const Table* const> tables) {
+  for (const Table* t : tables) {
+    if (t->lock_owner_ == txn) t->lock_owner_ = 0;
   }
 }
 

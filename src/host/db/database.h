@@ -94,12 +94,13 @@ class Transaction {
   State state_ = State::kActive;
   std::vector<UndoOp> undo_;
   std::vector<std::string> redo_;  // WAL ops, written on commit
-  // Lock bookkeeping is a fixed inline array of pointers to each locked
-  // Table's own (stable) name string: taking a lock on the transaction hot
-  // path allocates nothing. A transaction touches a handful of tables; the
-  // capacity is contract-checked in lock().
+  // Lock bookkeeping is a fixed inline array of pointers to the locked
+  // Tables, which hold their own lock word (tables are never dropped):
+  // taking a lock on the transaction hot path allocates nothing. A
+  // transaction touches a handful of tables; the capacity is
+  // contract-checked in lock().
   static constexpr std::size_t kMaxLockedTables = 8;
-  std::array<const std::string*, kMaxLockedTables> locked_tables_{};
+  std::array<const Table*, kMaxLockedTables> locked_tables_{};
   std::size_t locked_count_ = 0;
 };
 
@@ -120,9 +121,10 @@ class Database {
   const Table* table(const std::string& name) const;
   std::vector<std::string> table_names() const;
 
+  // A multi-operation transaction (DbServer's BEGIN).
   std::unique_ptr<Transaction> begin();
 
-  // Auto-commit helpers (single-op transactions).
+  // Auto-commit helpers: single-op transactions, run on the stack.
   bool insert(const std::string& table, Row row);
   bool update(const std::string& table, const Value& pk, std::size_t col,
               const Value& v);
@@ -134,13 +136,13 @@ class Database {
 
  private:
   friend class Transaction;
-  bool try_lock(const std::string& table, std::uint64_t txn);
-  void unlock_all(std::uint64_t txn,
-                  std::span<const std::string* const> tables);
+  static bool try_lock(const Table& table, std::uint64_t txn);
+  static void unlock_all(std::uint64_t txn,
+                         std::span<const Table* const> tables);
 
   std::string name_;
+  // Created once, never replaced or dropped: transactions keep pointers.
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
-  std::unordered_map<std::string, std::uint64_t> table_locks_;  // table -> txn
   Wal wal_;
   std::uint64_t next_txn_ = 1;
   std::uint64_t committed_ = 0;

@@ -528,11 +528,10 @@ DbClient::DbClient(transport::TcpStack& stack, net::Endpoint server)
 void DbClient::fail_all(const std::string& why) {
   auto pending = std::move(pending_);
   pending_.clear();
-  for (auto& cb : pending) {
-    Result r;
-    r.error = why;
-    cb(std::move(r));
-  }
+  // A half-received ROWS answer is dropped with the connection.
+  clear_answer();
+  answer_.error = why;
+  for (auto& cb : pending) cb(answer_);
 }
 
 void DbClient::send_command(std::string&& line, Callback cb) {
@@ -564,36 +563,42 @@ void DbClient::on_data(const std::string& bytes) {
 }
 
 void DbClient::on_line(sim::Slice line, sim::Slice ahead) {
-  if (!partial_.rows.complete()) {
-    partial_.rows.append(line);
-    if (partial_.rows.complete() && !pending_.empty()) {
-      auto cb = std::move(pending_.front());
-      pending_.pop_front();
-      cb(std::move(partial_));
-      partial_ = Result{};
-    }
+  if (!answer_.rows.complete()) {
+    answer_.rows.append(line);
+    if (answer_.rows.complete()) deliver();
     return;
   }
   if (pending_.empty()) return;  // stray line
 
-  Result r;
+  clear_answer();
   if (line.starts_with("OK")) {
-    r.ok = true;
-    if (line.size() > 3) r.txn = parse_u64(line.substr(3));
+    answer_.ok = true;
+    if (line.size() > 3) answer_.txn = parse_u64(line.substr(3));
   } else if (line.starts_with("ROWS ")) {
-    r.ok = true;
+    answer_.ok = true;
     const std::uint64_t n = parse_u64(line.substr(5));
     if (n > 0) {
-      partial_ = std::move(r);
-      partial_.rows.start(n, ahead);
+      answer_.rows.start(n, ahead);
       return;  // wait for the row lines
     }
   } else {
-    r.error.assign(line.data(), line.size());
+    answer_.error.assign(line.data(), line.size());
   }
+  deliver();
+}
+
+void DbClient::clear_answer() {
+  answer_.ok = false;
+  answer_.error.clear();
+  answer_.txn = 0;
+  answer_.rows.clear();
+}
+
+void DbClient::deliver() {
+  if (pending_.empty()) return;
   auto cb = std::move(pending_.front());
   pending_.pop_front();
-  cb(std::move(r));
+  cb(answer_);
 }
 
 void DbClient::begin(Callback cb) { send_command("BEGIN", std::move(cb)); }

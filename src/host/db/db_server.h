@@ -31,8 +31,8 @@ double real_field(sim::Slice f);
 // The rows of one "ROWS n" answer, decoded once. Every field is unescaped
 // into one owned buffer and addressed by offsets (not Slices: moving a
 // Rows moves its string, which relocates a small-string buffer), so a
-// Result moves through callbacks without a fix-up. Fields read back as
-// views that live as long as the Rows.
+// copied or moved Result needs no fix-up. Fields read back as views that
+// live as long as the Rows holds this answer.
 class Rows {
  public:
   // One row: a view over its fields.
@@ -87,6 +87,13 @@ class Rows {
   // Unescape one wire row ("<f1>|<f2>|...") onto the end of the answer.
   void append(sim::Slice line);
   bool complete() const { return size() == declared_; }
+  // Forget the answer but keep the storage for the next one.
+  void clear() {
+    text_.clear();
+    fields_.clear();
+    rows_.clear();
+    declared_ = 0;
+  }
 
   sim::Slice field(std::uint32_t k) const {
     return sim::Slice{text_.data() + fields_[k], fields_[k + 1] - fields_[k]};
@@ -206,7 +213,11 @@ class DbClient {
     std::uint64_t txn = 0;  // for begin()
     Rows rows;
   };
-  using Callback = std::function<void(Result)>;
+  // Each answer reaches its callback by reference to the client's one
+  // answer buffer, which the next answer clears and refills in place. The
+  // reference, and every view read from its rows, is valid only during the
+  // call: a callback copies what it keeps.
+  using Callback = std::function<void(const Result&)>;
 
   DbClient(transport::TcpStack& stack, net::Endpoint server);
   DbClient(const DbClient&) = delete;
@@ -239,6 +250,10 @@ class DbClient {
   // data after `line`, which sizes a ROWS answer's storage.
   void on_data(const std::string& bytes);
   void on_line(sim::Slice line, sim::Slice ahead);
+  // Empty answer_ for the next answer, keeping its buffers.
+  void clear_answer();
+  // Hand answer_ to the oldest pending callback.
+  void deliver();
   void fail_all(const std::string& why);
 
   transport::TcpStack& stack_;
@@ -246,9 +261,9 @@ class DbClient {
   transport::TcpSocket::Ptr socket_;
   std::string buffer_;
   std::deque<Callback> pending_;
-  // Multi-line response assembly: rows arrive while partial_.rows is
-  // incomplete.
-  Result partial_;
+  // The answer being received or delivered; rows arrive while
+  // answer_.rows is incomplete.
+  Result answer_;
   sim::StatsRegistry stats_;
   // Counter handles into stats_, resolved on first use (sim/stats.h).
   sim::CounterHandle c_commands_{"commands"};

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
@@ -75,6 +76,8 @@ class Table {
   std::size_t size() const { return live_rows_; }
 
  private:
+  friend class Database;  // takes and releases lock_owner_
+
   // Dead slots chain through the slots themselves: erase/insert churn on
   // the steady state reuses storage with no free-list container to grow
   // (the table hot path stays allocation-free once the slot vector has
@@ -123,6 +126,10 @@ class Table {
   std::map<Value, std::size_t, ValueLess> primary_;
   std::map<std::size_t, Index> indexes_;  // col -> index
   std::size_t live_rows_ = 0;
+  // Table-level write lock of the owning Database's transactions: the id of
+  // the transaction holding it, 0 while free. Lock state, not content, so a
+  // const Table can be locked.
+  mutable std::uint64_t lock_owner_ = 0;
 };
 
 template <typename Fn>

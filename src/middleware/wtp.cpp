@@ -8,8 +8,10 @@ namespace mcs::middleware {
 
 namespace {
 
-// Initiator retransmits an unanswered invoke after this long.
+// Initiator retransmits an unanswered invoke after this long, at most this
+// many times before it fails the transaction.
 constexpr sim::Time kRetryInterval = sim::Time::millis(800);
+constexpr int kMaxRetries = 6;
 // Payload bytes per datagram.
 constexpr std::size_t kMtu = 1200;
 // A responder keeps a sent result for retransmission until the initiator's
@@ -52,9 +54,8 @@ std::string WtpEndpoint::Reassembly::assemble() const {
   });
 }
 
-WtpEndpoint::WtpEndpoint(transport::UdpStack& udp, std::uint16_t port,
-                         WtpConfig cfg)
-    : udp_{udp}, port_{port}, cfg_{cfg} {
+WtpEndpoint::WtpEndpoint(transport::UdpStack& udp, std::uint16_t port)
+    : udp_{udp}, port_{port} {
   // Seed the tid space from the node address so tids are globally distinct
   // (useful in traces; correctness relies on the per-endpoint keying).
   next_tid_ = (static_cast<std::uint64_t>(udp_.node().addr().v) << 20) + 1;
@@ -108,12 +109,12 @@ void WtpEndpoint::arm_retry(std::uint64_t tid) {
     if (tit == outgoing_.end() || tit->second.done) return;
     OutgoingTxn& txn = tit->second;
     txn.timer = sim::kInvalidEventId;
-    if (++txn.retries > cfg_.max_retries) {
+    if (++txn.retries > kMaxRetries) {
       stats_.counter(c_transactions_failed_).add();
       finish(tid, std::nullopt);
       return;
     }
-    MCS_INVARIANT(txn.retries <= cfg_.max_retries,
+    MCS_INVARIANT(txn.retries <= kMaxRetries,
                   "WTP retry loop escaped its budget");
     stats_.counter(c_retransmissions_).add();
     obs::ActiveScope scope{txn.ctx};

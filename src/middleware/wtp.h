@@ -24,10 +24,6 @@ namespace mcs::middleware {
 //   "INV <tid> <seg> <nsegs>\n" <bytes>     initiator -> responder
 //   "RES <tid> <seg> <nsegs>\n" <bytes>     responder -> initiator
 //   "ACK <tid>\n"                           initiator -> responder
-struct WtpConfig {
-  int max_retries = 6;
-};
-
 class WtpEndpoint {
  public:
   // Responder role: handle a complete invoke, answer via `respond` (once).
@@ -37,8 +33,7 @@ class WtpEndpoint {
   // Initiator role: completion callback (nullopt = transaction failed).
   using ResultCallback = std::function<void(std::optional<std::string>)>;
 
-  WtpEndpoint(transport::UdpStack& udp, std::uint16_t port,
-              WtpConfig cfg = {});
+  WtpEndpoint(transport::UdpStack& udp, std::uint16_t port);
   WtpEndpoint(const WtpEndpoint&) = delete;
   WtpEndpoint& operator=(const WtpEndpoint&) = delete;
 
@@ -96,7 +91,6 @@ class WtpEndpoint {
 
   transport::UdpStack& udp_;
   std::uint16_t port_ = 0;
-  WtpConfig cfg_;
   std::uint64_t next_tid_ = 0;
   std::unordered_map<std::uint64_t, OutgoingTxn> outgoing_;
   // Keyed by (initiator endpoint, tid) so tids from different phones never

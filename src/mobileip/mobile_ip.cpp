@@ -17,8 +17,10 @@ constexpr sim::Time kForwardLifetime = sim::Time::seconds(5.0);
 // each kept at most this long.
 constexpr std::size_t kBufferPackets = 128;
 constexpr sim::Time kBufferTtl = sim::Time::seconds(3.0);
-// The mobile re-sends an unanswered registration request after this long.
+// The mobile re-sends an unanswered registration request after this long,
+// at most this many times before it reports the registration failed.
 constexpr sim::Time kRegistrationRetryInterval = sim::Time::millis(500);
+constexpr int kMaxRegistrationRetries = 5;
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -405,7 +407,7 @@ void MobileIpClient::arm_retry() {
   retry_timer_ = mobile_.sim().after(kRegistrationRetryInterval, [this] {
     retry_timer_ = sim::kInvalidEventId;
     if (registered_) return;
-    if (++retries_ > cfg_.max_retries) {
+    if (++retries_ > kMaxRegistrationRetries) {
       stats_.counter(c_registration_failures_).add();
       if (on_registered) on_registered(false, sim::Time::zero());
       return;

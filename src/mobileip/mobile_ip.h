@@ -182,7 +182,6 @@ class ForeignAgent {
 struct MobileClientConfig {
   net::IpAddress home_agent;
   sim::Time lifetime = sim::Time::seconds(30.0);
-  int max_retries = 5;
 };
 
 // Runs on the mobile node. Call attach() after every layer-2 handoff; it

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <string_view>
+
 #include "core/apps.h"
 
 namespace mcs::core {
@@ -66,7 +69,7 @@ TEST(McSystemTest, DynamicRouteHitsDatabaseServer) {
       [](const host::HttpRequest& req, host::AppServer::Context& ctx,
          auto respond) {
         ctx.db->get("kv", host::query_param(req.path, "k"),
-                    [respond](host::db::DbClient::Result r) mutable {
+                    [respond](const host::db::DbClient::Result& r) mutable {
           respond(host::HttpResponse::make(
               200, "text/html",
               "<p>" + (r.ok && !r.rows.empty() ? std::string{r.rows[0][1]}
@@ -209,6 +212,34 @@ TEST_F(PaymentFixture, ConcurrentChargesRespectReservations) {
   EXPECT_DOUBLE_EQ(sys.bank().balance("acct3"), 400.0);
 }
 
+// Rank typed catalog rows (id, name, category, price, ...) by index and
+// return the ranked ids. A category that is not text reads as "", and a
+// missing price as 0.
+std::vector<std::int64_t> ranked_ids(const PersonalizationEngine& eng,
+                                     const std::string& user,
+                                     const std::vector<host::db::Row>& rows) {
+  std::vector<std::size_t> order(rows.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  eng.rank_catalog(
+      user, order,
+      [&rows](std::size_t i) {
+        const auto* c = rows[i].size() > 2
+                            ? std::get_if<std::string>(&rows[i][2])
+                            : nullptr;
+        return c != nullptr ? std::string_view{*c} : std::string_view{};
+      },
+      [&rows](std::size_t i) {
+        const auto* p =
+            rows[i].size() > 3 ? std::get_if<double>(&rows[i][3]) : nullptr;
+        return p != nullptr ? *p : 0.0;
+      });
+  std::vector<std::int64_t> ids;
+  for (const std::size_t i : order) {
+    ids.push_back(std::get<std::int64_t>(rows[i][0]));
+  }
+  return ids;
+}
+
 TEST(PersonalizationTest, CatalogRankingFollowsInterests) {
   PersonalizationEngine eng;
   UserProfile alice;
@@ -223,13 +254,12 @@ TEST(PersonalizationTest, CatalogRankingFollowsInterests) {
       {std::int64_t{3}, std::string{"Novel"}, std::string{"books"}, 10.0},
       {std::int64_t{4}, std::string{"Yacht"}, std::string{"boats"}, 5000.0},
   };
-  const auto ranked = eng.personalize_catalog("alice", rows, 2, 3);
-  ASSERT_EQ(ranked.size(), 3u);  // yacht filtered by spending limit
-  EXPECT_EQ(std::get<std::string>(ranked[0][1]), "Album");
-  EXPECT_EQ(std::get<std::string>(ranked[1][1]), "Novel");
-  EXPECT_EQ(std::get<std::string>(ranked[2][1]), "TV");
+  // Album, Novel, TV; the yacht is over the spending limit.
+  EXPECT_EQ(ranked_ids(eng, "alice", rows),
+            (std::vector<std::int64_t>{2, 3, 1}));
   // Unknown user: untouched.
-  EXPECT_EQ(eng.personalize_catalog("bob", rows, 2, 3).size(), rows.size());
+  EXPECT_EQ(ranked_ids(eng, "bob", rows),
+            (std::vector<std::int64_t>{1, 2, 3, 4}));
 }
 
 // The personalized order of a seeded catalog, pinned. Prices come from a
@@ -256,14 +286,11 @@ TEST(PersonalizationTest, SeededCatalogOrderIsPinned) {
   rows.push_back({std::int64_t{41}, std::string{"odd"}, std::int64_t{7}, 5.0});
   rows.push_back({std::int64_t{42}, std::string{"short"}, std::string{"music"}});
 
-  std::vector<std::int64_t> ids;
-  for (const auto& r : eng.personalize_catalog("u", rows, 2, 3)) {
-    ids.push_back(std::get<std::int64_t>(r[0]));
-  }
-  EXPECT_EQ(ids, (std::vector<std::int64_t>{
-                     42, 5,  2,  16, 10, 28, 40, 23, 24, 30, 9,
-                     13, 20, 27, 33, 35, 17, 26, 39, 11, 36, 41,
-                     6,  7,  12, 15, 18, 19, 29, 38, 3,  4,  22}));
+  EXPECT_EQ(ranked_ids(eng, "u", rows),
+            (std::vector<std::int64_t>{
+                42, 5,  2,  16, 10, 28, 40, 23, 24, 30, 9,
+                13, 20, 27, 33, 35, 17, 26, 39, 11, 36, 41,
+                6,  7,  12, 15, 18, 19, 29, 38, 3,  4,  22}));
 }
 
 TEST(PersonalizationTest, RecordInterestPromotesCategory) {

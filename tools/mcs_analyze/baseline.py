@@ -26,6 +26,9 @@ def load(path: Path) -> dict:
     return out
 
 
+TODO_WHY = "TODO: justify or fix"
+
+
 def apply(findings, accepted: dict) -> None:
     """Mark findings present in the baseline; mutates in place."""
     for f in findings:
@@ -33,12 +36,25 @@ def apply(findings, accepted: dict) -> None:
             f.baselined = True
 
 
-def write(path: Path, findings) -> int:
+def stale(accepted: dict, findings, in_scope) -> list:
+    """Baseline keys that match no non-suppressed finding, among the keys
+    `in_scope(path, check)` says this run analyzed. A stale entry would
+    silently accept a future finding that happens to share its key."""
+    found = {f.key() for f in findings if not f.suppressed}
+    return sorted(key for key in accepted
+                  if in_scope(key[0], key[1]) and key not in found)
+
+
+def write(path: Path, findings):
     """Write every active (non-suppressed) finding as the new baseline,
-    preserving `why` strings for keys that already existed."""
+    preserving `why` strings for keys that already existed.
+
+    Returns (entries written, new keys given the TODO why, previous keys
+    dropped because no finding matches them)."""
     previous = load(path) if path.is_file() else {}
     entries = []
     seen = set()
+    todo = []
     for f in findings:
         if f.suppressed:
             continue
@@ -46,13 +62,16 @@ def write(path: Path, findings) -> int:
         if key in seen:
             continue
         seen.add(key)
+        if key not in previous:
+            todo.append(key)
         entries.append({
             "path": f.path,
             "line": f.line,  # informational; not part of the key
             "check": f.check,
             "context": f.context,
-            "why": previous.get(key, "TODO: justify or fix"),
+            "why": previous.get(key, TODO_WHY),
         })
+    dropped = sorted(key for key in previous if key not in seen)
     doc = {
         "comment": "Accepted mcs_analyze findings. Keyed by "
                    "(path, check, context); 'line' is informational. "
@@ -61,4 +80,4 @@ def write(path: Path, findings) -> int:
     }
     path.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n",
                     encoding="utf-8")
-    return len(entries)
+    return len(entries), todo, dropped

@@ -11,7 +11,11 @@ Usage:
       [--list-checks] [-q]
 
 Exit status: 0 clean (no findings beyond suppressions/baseline), 1 when new
-findings are reported, 2 on usage errors. See DESIGN.md §9 for each check's
+findings or, with the internal frontend, stale baseline entries (entries
+for the analyzed files and checks that match no finding) are reported, 2
+on usage errors.
+--write-baseline lists each entry it adds with a TODO `why` and each entry
+it drops. See DESIGN.md §9 for each check's
 rule, rationale, and suppression syntax; §11 for the interprocedural
 families.
 """
@@ -245,26 +249,53 @@ def main(argv) -> int:
                            for pat in args.paths)]
 
     if args.write_baseline:
-        n = baseline_mod.write(args.baseline, findings)
+        n, todo, dropped = baseline_mod.write(args.baseline, findings)
+        for path, check, context in todo:
+            print(f"{path}: [{check}] new baseline entry, why set to "
+                  f"\"{baseline_mod.TODO_WHY}\": {context}")
+        for path, check, context in dropped:
+            print(f"{path}: [{check}] dropped baseline entry (matches no "
+                  f"finding): {context}")
         print(f"mcs-analyze: baseline written to {args.baseline} "
               f"({n} accepted finding(s))")
         if args.json:
             emit_json(args.json, findings, frontend_used, selected)
         return 0
 
+    stale = []
     if not args.no_baseline:
-        baseline_mod.apply(findings, baseline_mod.load(args.baseline))
+        accepted = baseline_mod.load(args.baseline)
+        baseline_mod.apply(findings, accepted)
+        repo = _repo_root()
+        analyzed = {_rel(path, repo) for path in files}
+
+        def in_scope(path, check):
+            return (path in analyzed and check in selected
+                    and (not args.paths
+                         or any(fnmatch.fnmatch(path, pat)
+                                for pat in args.paths)))
+
+        # The baseline is written from the internal frontend; an entry the
+        # libclang frontend does not reproduce is a frontend disagreement,
+        # which stays informational, not a stale entry.
+        if frontend_used == "internal":
+            stale = baseline_mod.stale(accepted, findings, in_scope)
 
     active = [f for f in findings if not f.suppressed and not f.baselined]
     for f in active:
         print(f"{f.path}:{f.line}: [{f.check}] {f.severity}: {f.message}")
+    for path, check, context in stale:
+        print(f"{path}: [{check}] stale baseline entry (matches no "
+              f"finding): {context}")
 
     if args.json:
         emit_json(args.json, findings, frontend_used, selected)
 
-    if active:
+    if active or stale:
         if not args.quiet:
-            print(f"mcs-analyze: {len(active)} new finding(s) "
+            print(f"mcs-analyze: {len(active)} new finding(s), "
+                  f"{len(stale)} stale baseline entr"
+                  f"{'y' if len(stale) == 1 else 'ies'} "
                   f"({len(findings) - len(active)} suppressed/baselined) in "
                   f"{len(files)} file(s) [frontend={frontend_used}]",
                   file=sys.stderr)

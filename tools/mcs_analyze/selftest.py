@@ -8,13 +8,17 @@ missed or spurious expectation.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import baseline as baseline_mod  # noqa: E402
 import checks as checks_mod  # noqa: E402
 import cli  # noqa: E402
 
@@ -129,6 +133,72 @@ def check_model_cache(failures):
                             f"(functions {names}, want ['bravo'])")
 
 
+def run_cli(argv):
+    """-> (exit status, stdout lines) of one mcs-analyze run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(argv)
+    return rc, out.getvalue().splitlines()
+
+
+def check_baseline(failures):
+    """fixtures/baseline/: the gate reports the baseline entries that match
+    no finding among the files and checks it analyzed, and --write-baseline
+    names each entry it adds with a TODO `why` and each entry it drops."""
+    root = FIXTURES / "baseline"
+    with tempfile.TemporaryDirectory() as tmp:
+        bl = Path(tmp) / "baseline.json"
+        shutil.copy(root / "baseline.json", bl)
+        base = ["--root", str(root), "--frontend", "internal",
+                "--baseline", str(bl)]
+
+        # All checks: the unbaselined getenv is new; the removed getenv
+        # line's entry and the wallclock entry are stale.
+        rc, lines = run_cli(base)
+        new = [ln for ln in lines if "[getenv] error" in ln]
+        stale = [ln for ln in lines if "stale baseline entry" in ln]
+        if rc != 1 or len(new) != 1 or "env_knobs.cpp:14:" not in new[0] \
+                or len(stale) != 2 \
+                or not any("FIXTURE_REMOVED" in ln for ln in stale) \
+                or not any("[wallclock]" in ln for ln in stale):
+            failures.append(f"baseline gate: want exit 1, one new getenv "
+                            f"finding and two stale entries; got exit {rc}: "
+                            f"{lines}")
+
+        # Only getenv runs: the wallclock entry is out of scope.
+        rc, lines = run_cli(base + ["--only", "getenv"])
+        stale = [ln for ln in lines if "stale baseline entry" in ln]
+        if rc != 1 or len(stale) != 1 or "FIXTURE_REMOVED" not in stale[0]:
+            failures.append(f"baseline gate --only getenv: want exit 1 and "
+                            f"only the getenv entry stale; got exit {rc}: "
+                            f"{lines}")
+
+        # No analyzed path matches: nothing is new, nothing is stale.
+        rc, lines = run_cli(base + ["--paths", "no/such/dir/*"])
+        if rc != 0:
+            failures.append(f"baseline gate --paths outside the fixture: "
+                            f"want exit 0; got exit {rc}: {lines}")
+
+        rc, lines = run_cli(base + ["--only", "getenv", "--write-baseline"])
+        todo = [ln for ln in lines if "new baseline entry" in ln]
+        dropped = [ln for ln in lines if "dropped baseline entry" in ln]
+        if rc != 0 or len(todo) != 1 or "FIXTURE_NEW" not in todo[0] \
+                or len(dropped) != 2:
+            failures.append(f"--write-baseline: want the FIXTURE_NEW entry "
+                            f"reported as TODO and two entries dropped; got "
+                            f"exit {rc}: {lines}")
+        whys = {key[2]: why for key, why in baseline_mod.load(bl).items()}
+        want = {
+            'const char* level = std::getenv("FIXTURE_ACCEPTED"); '
+            '// baselined': "fixture: accepted on purpose",
+            'const char* level = std::getenv("FIXTURE_NEW"); '
+            '// not in the baseline': baseline_mod.TODO_WHY,
+        }
+        if whys != want:
+            failures.append(f"--write-baseline wrote {whys}, want {want}")
+
+
 def main() -> int:
     failures = []
 
@@ -166,6 +236,7 @@ def main() -> int:
 
     check_callgraph(failures)
     check_model_cache(failures)
+    check_baseline(failures)
 
     # Coverage guard: every check family must have at least one firing
     # fixture, so a check that silently stops firing fails this test.
