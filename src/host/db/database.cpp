@@ -10,12 +10,31 @@ namespace mcs::host::db {
 
 namespace {
 
-// WAL rows join to_string()-form cells with '|'.
-void append_row(sim::BufWriter& w, const Row& row) {
+// The WAL op of each mutation, appended to `out`. Rows join
+// to_string()-form cells with '|'.
+void write_insert(std::string& out, const std::string& table, const Row& row) {
+  sim::BufWriter w{out};
+  w.put("INS ").put(table).ch(' ');
   for (std::size_t i = 0; i < row.size(); ++i) {
     if (i > 0) w.ch('|');
     append_value(w, row[i]);
   }
+}
+
+void write_update(std::string& out, const std::string& table, const Value& pk,
+                  std::size_t col, const Value& v) {
+  sim::BufWriter w{out};
+  w.put("UPD ").put(table).ch(' ');
+  append_value(w, pk);
+  w.ch(' ').u64(col).ch(' ');
+  append_value(w, v);
+}
+
+void write_erase(std::string& out, const std::string& table,
+                 const Value& pk) {
+  sim::BufWriter w{out};
+  w.put("DEL ").put(table).ch(' ');
+  append_value(w, pk);
 }
 
 }  // namespace
@@ -81,15 +100,13 @@ bool Transaction::insert(const std::string& table, Row row) {
   MCS_ASSERT(t->primary_key_col() < row.size(),
              "row too short to carry the table's primary key");
   const Value pk = row[t->primary_key_col()];
-  const auto wal_op = sim::build(8 + table.size(), [&](std::string& out) {
-    sim::BufWriter w{out};
-    w.put("INS ").put(table).ch(' ');
-    append_row(w, row);
+  auto wal_op = sim::build(8 + table.size(), [&](std::string& out) {
+    write_insert(out, table, row);
   });
   if (!t->insert(std::move(row))) return false;
   undo_.push_back(
       UndoOp{UndoOp::Kind::kErase, table, pk, {}});
-  redo_.push_back(wal_op);
+  redo_.push_back(std::move(wal_op));
   MCS_INVARIANT(undo_.size() == redo_.size(),
                 "every redo record needs a matching undo to stay abortable");
   return true;
@@ -109,11 +126,7 @@ bool Transaction::update(const std::string& table, const Value& pk,
   undo_.push_back(
       UndoOp{UndoOp::Kind::kRestoreRow, table, new_pk, std::move(old_copy)});
   redo_.push_back(sim::build(8 + table.size(), [&](std::string& out) {
-    sim::BufWriter w{out};
-    w.put("UPD ").put(table).ch(' ');
-    append_value(w, pk);
-    w.ch(' ').u64(col).ch(' ');
-    append_value(w, v);
+    write_update(out, table, pk, col, v);
   }));
   MCS_INVARIANT(undo_.size() == redo_.size(),
                 "every redo record needs a matching undo to stay abortable");
@@ -131,9 +144,7 @@ bool Transaction::erase(const std::string& table, const Value& pk) {
   undo_.push_back(
       UndoOp{UndoOp::Kind::kReinsert, table, pk, std::move(old_copy)});
   redo_.push_back(sim::build(8 + table.size(), [&](std::string& out) {
-    sim::BufWriter w{out};
-    w.put("DEL ").put(table).ch(' ');
-    append_value(w, pk);
+    write_erase(out, table, pk);
   }));
   MCS_INVARIANT(undo_.size() == redo_.size(),
                 "every redo record needs a matching undo to stay abortable");
@@ -227,31 +238,62 @@ std::unique_ptr<Transaction> Database::begin() {
   return std::unique_ptr<Transaction>{new Transaction{*this, next_txn_++}};
 }
 
+// An autocommit runs to completion before anything else can take a lock,
+// so it records no undo, copies no old row and takes no lock: it only has
+// to find its table unlocked, as a one-op Transaction would. Success logs
+// the op and COMMIT exactly as Transaction::commit() does; failure counts
+// as an abort. Either way the transaction id is spent.
+Table* Database::autocommit_table(const std::string& table) {
+  Table* t = this->table(table);
+  return t != nullptr && t->lock_owner_ == 0 ? t : nullptr;
+}
+
+bool Database::finish_autocommit(std::uint64_t txn, bool ok) {
+  if (!ok) {
+    ++aborted_;
+    return false;
+  }
+  wal_.append(txn, wal_op_);
+  wal_.append(txn, "COMMIT");
+  ++committed_;
+  return true;
+}
+
 bool Database::insert(const std::string& table, Row row) {
-  Transaction txn{*this, next_txn_++};
-  const bool ok = txn.insert(table, std::move(row)) && txn.commit();
-  MCS_INVARIANT(!ok || !txn.active(),
-                "autocommit must never return success with the "
-                "transaction (and its table lock) still open");
-  return ok;
+  const std::uint64_t txn = next_txn_++;
+  Table* t = autocommit_table(table);
+  if (t == nullptr) return finish_autocommit(txn, false);
+  MCS_ASSERT(t->primary_key_col() < row.size(),
+             "row too short to carry the table's primary key");
+  wal_op_.clear();
+  write_insert(wal_op_, table, row);
+  return finish_autocommit(txn, t->insert(std::move(row)));
 }
 
 bool Database::update(const std::string& table, const Value& pk,
                       std::size_t col, const Value& v) {
-  Transaction txn{*this, next_txn_++};
-  const bool ok = txn.update(table, pk, col, v) && txn.commit();
-  MCS_INVARIANT(!ok || !txn.active(),
-                "autocommit must never return success with the "
-                "transaction (and its table lock) still open");
+  const std::uint64_t txn = next_txn_++;
+  Table* t = autocommit_table(table);
+  if (t == nullptr) return finish_autocommit(txn, false);
+  // Written first: `pk` may name a cell of the row the update rewrites.
+  wal_op_.clear();
+  write_update(wal_op_, table, pk, col, v);
+  const std::size_t rows = t->size();
+  const bool ok = finish_autocommit(txn, t->update(pk, col, v));
+  MCS_INVARIANT(t->size() == rows, "an update never adds or drops a row");
   return ok;
 }
 
 bool Database::erase(const std::string& table, const Value& pk) {
-  Transaction txn{*this, next_txn_++};
-  const bool ok = txn.erase(table, pk) && txn.commit();
-  MCS_INVARIANT(!ok || !txn.active(),
-                "autocommit must never return success with the "
-                "transaction (and its table lock) still open");
+  const std::uint64_t txn = next_txn_++;
+  Table* t = autocommit_table(table);
+  if (t == nullptr) return finish_autocommit(txn, false);
+  wal_op_.clear();
+  write_erase(wal_op_, table, pk);
+  const std::size_t rows = t->size();
+  const bool ok = finish_autocommit(txn, t->erase(pk));
+  MCS_INVARIANT(t->size() + (ok ? 1 : 0) == rows,
+                "a committed erase drops exactly one row, a failed one none");
   return ok;
 }
 

@@ -124,7 +124,7 @@ class Database {
   // A multi-operation transaction (DbServer's BEGIN).
   std::unique_ptr<Transaction> begin();
 
-  // Auto-commit helpers: single-op transactions, run on the stack.
+  // Auto-commit helpers: single-op transactions with no undo log.
   bool insert(const std::string& table, Row row);
   bool update(const std::string& table, const Value& pk, std::size_t col,
               const Value& v);
@@ -137,6 +137,8 @@ class Database {
  private:
   friend class Transaction;
   static bool try_lock(const Table& table, std::uint64_t txn);
+  Table* autocommit_table(const std::string& table);
+  bool finish_autocommit(std::uint64_t txn, bool ok);
   static void unlock_all(std::uint64_t txn,
                          std::span<const Table* const> tables);
 
@@ -144,6 +146,7 @@ class Database {
   // Created once, never replaced or dropped: transactions keep pointers.
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
   Wal wal_;
+  std::string wal_op_;  // an autocommit's WAL op, reused
   std::uint64_t next_txn_ = 1;
   std::uint64_t committed_ = 0;
   std::uint64_t aborted_ = 0;

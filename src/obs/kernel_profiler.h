@@ -5,7 +5,7 @@
 // this watches the machine running it: how deep the event queue is, how far
 // the kernel can jump before the next event (its "event-loop lag" — a long
 // lookahead means an idle kernel, a zero lookahead means a saturated one),
-// how many bytes the heap + slot table have grown to, and — when a tracer
+// how many bytes the heap + slot arrays have grown to, and — when a tracer
 // is supplied — where self time is accumulating per Figure-2 bucket, so a
 // scheduling stall is attributable to the component causing it.
 //
@@ -28,7 +28,7 @@ class Tracer;
 //   kernel.pending          events waiting in the queue
 //   kernel.executed         cumulative events run
 //   kernel.lookahead_us     next_time() - now(): 0 while saturated
-//   kernel.footprint_bytes  heap + slot table reserved bytes
+//   kernel.footprint_bytes  heap + slot arrays reserved bytes
 // and, with a tracer, one "profile.self.<bucket>_us" series per Figure-2
 // bucket plus "profile.self.unattributed_us" from the tracer's live
 // self-time accumulators. `sim` and `tracer` must outlive the recorder.

@@ -23,29 +23,28 @@ constexpr std::size_t kArity = 4;
 std::uint32_t Simulator::acquire_slot() {
   if (free_head_ != kNoIndex) {
     const std::uint32_t slot = free_head_;
-    free_head_ = slots_[slot].next_free;
-    slots_[slot].next_free = kNoIndex;
+    free_head_ = meta_[slot].next_free;
     return slot;
   }
-  MCS_ASSERT(slots_.size() < kNoIndex, "Simulator: slot table overflow");
-  slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
+  meta_.emplace_back();
+  fns_.emplace_back();
+  return static_cast<std::uint32_t>(meta_.size() - 1);
 }
 
 void Simulator::release_slot(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.fn.reset();
-  s.heap_index = kNoIndex;
+  fns_[slot].reset();
+  SlotMeta& m = meta_[slot];
+  m.heap_index = kNoIndex;
   // Bumping the generation on release invalidates every outstanding EventId
   // for this slot immediately, before any reuse.
-  ++s.gen;
-  s.next_free = free_head_;
+  ++m.gen;
+  m.next_free = free_head_;
   free_head_ = slot;
 }
 
 // Writes `node` at `index` and records the new position in its slot.
 void Simulator::place(std::size_t index, HeapNode node) {
-  slots_[node.slot].heap_index = static_cast<std::uint32_t>(index);
+  meta_[slot_of(node)].heap_index = static_cast<std::uint32_t>(index);
   heap_[index] = node;
 }
 
@@ -78,22 +77,44 @@ std::size_t Simulator::sift_down(std::size_t index, const HeapNode& node) {
 
 // at() has already parked the callback in `slot`; link it into the heap.
 EventId Simulator::finish_schedule(Time t, std::uint32_t slot) {
-  const HeapNode node{t, next_seq_++, slot};
+  const HeapNode node{t.ns(), pack(next_seq_++, slot)};
   heap_.push_back(node);
   place(sift_up(heap_.size() - 1, node), node);
-  return (static_cast<EventId>(slot) << 32) | slots_[slot].gen;
+  return (static_cast<EventId>(slot) << 32) | meta_[slot].gen;
+}
+
+Simulator::SlotMeta* Simulator::pending_meta(EventId id) {
+  const auto slot = static_cast<std::uint32_t>(id >> 32);
+  if (slot >= meta_.size()) return nullptr;
+  SlotMeta& m = meta_[slot];
+  // Fired, already-cancelled, and recycled handles all fail this check:
+  // release_slot() bumped the generation the moment the slot emptied.
+  const bool live = m.gen == static_cast<std::uint32_t>(id) &&
+                    m.heap_index != kNoIndex;
+  return live ? &m : nullptr;
 }
 
 void Simulator::cancel(EventId id) {
+  const SlotMeta* m = pending_meta(id);
+  if (m == nullptr) return;
+  remove_heap_index(m->heap_index);
+  release_slot(static_cast<std::uint32_t>(id >> 32));
+}
+
+// cancel() + at() would release the slot and take it straight back off the
+// free list, bumping its generation once; doing both in place leaves the
+// callback where it is and re-sifts one node.
+EventId Simulator::retime(EventId id, Time t) {
+  MCS_ASSERT(t >= now_, "Simulator::retime(): cannot move into the past");
+  SlotMeta* m = pending_meta(id);
+  if (m == nullptr) return kInvalidEventId;
   const auto slot = static_cast<std::uint32_t>(id >> 32);
-  const auto gen = static_cast<std::uint32_t>(id & 0xffffffffu);
-  if (slot >= slots_.size()) return;
-  Slot& s = slots_[slot];
-  // Fired, already-cancelled, and recycled handles all fail this check:
-  // release_slot() bumped the generation the moment the slot emptied.
-  if (s.gen != gen || s.heap_index == kNoIndex) return;
-  remove_heap_index(s.heap_index);
-  release_slot(slot);
+  ++m->gen;
+  const HeapNode node{t.ns(), pack(next_seq_++, slot)};
+  const std::size_t index = m->heap_index;
+  const std::size_t up = sift_up(index, node);
+  place(up == index ? sift_down(index, node) : up, node);
+  return (static_cast<EventId>(slot) << 32) | m->gen;
 }
 
 // Removes the heap node at `index`, preserving the heap invariant: the last
@@ -137,18 +158,20 @@ bool Simulator::pop_and_run_next() {
   const HeapNode top = heap_[0];
   // The heap must deliver events in nondecreasing time: a violation here
   // means the (time, schedule-order) replay contract is already broken.
-  MCS_INVARIANT(top.t >= now_, "event heap yielded a timestamp before now()");
+  MCS_INVARIANT(top.t >= now_.ns(),
+                "event heap yielded a timestamp before now()");
   // Move the callback out and retire the slot *before* invoking it, so a
   // callback cancelling its own id (or scheduling into this slot's reuse)
   // sees consistent state — same semantics as the seed kernel's erase-first.
-  InlineFunction fn = std::move(slots_[top.slot].fn);
+  const std::uint32_t slot = slot_of(top);
+  InlineFunction fn = std::move(fns_[slot]);
   pop_root();
-  release_slot(top.slot);
-  now_ = top.t;
+  release_slot(slot);
+  now_ = Time::nanos(top.t);
   ++executed_;
   trace_hash_ = fnv1a_mix(fnv1a_mix(trace_hash_,
-                                    static_cast<std::uint64_t>(top.t.ns())),
-                          top.seq);
+                                    static_cast<std::uint64_t>(top.t)),
+                          top.word >> kSlotBits);
   fn();
   return true;
 }
@@ -164,7 +187,7 @@ void Simulator::run_until(Time t) {
   stopped_ = false;
   // Unlike the seed kernel there are no tombstones: heap_[0] is always a
   // live event, so the boundary check needs no cancelled-head purge.
-  while (!stopped_ && !heap_.empty() && heap_[0].t <= t) {
+  while (!stopped_ && !heap_.empty() && heap_[0].t <= t.ns()) {
     pop_and_run_next();
   }
   if (t > now_) now_ = t;

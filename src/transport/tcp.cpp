@@ -516,9 +516,15 @@ net::PacketPtr TcpSocket::make_segment(std::uint8_t flags,
 }
 
 void TcpSocket::arm_rto() {
-  cancel_rto();
+  sim::Simulator& sim = stack_.sim();
+  // A pending timer moves in place and keeps its callback; the schedule is
+  // the same as cancelling it and arming a new one.
+  if (rto_timer_ != sim::kInvalidEventId) {
+    rto_timer_ = sim.retime(rto_timer_, sim.now() + rto_);
+    if (rto_timer_ != sim::kInvalidEventId) return;
+  }
   std::weak_ptr<TcpSocket> weak = weak_from_this();
-  rto_timer_ = stack_.sim().after(rto_, [weak] {
+  rto_timer_ = sim.after(rto_, [weak] {
     if (auto self = weak.lock()) {
       self->rto_timer_ = sim::kInvalidEventId;
       self->on_rto_expired();

@@ -12,6 +12,23 @@
 #include "transport/udp.h"
 
 namespace mcs {
+namespace sim {
+
+// Reaches the kernel's node-layout limits without scheduling 2^40 events or
+// holding 2^24 of them.
+struct SimulatorTestPeer {
+  static void set_next_seq(Simulator& sim, std::uint64_t seq) {
+    sim.next_seq_ = seq;
+  }
+  static std::uint64_t max_schedules() { return Simulator::kMaxSchedules; }
+  static std::uint32_t max_slots() { return Simulator::kMaxSlots; }
+  static std::uint64_t pack(std::uint64_t seq, std::uint32_t slot) {
+    return Simulator::pack(seq, slot);
+  }
+};
+
+}  // namespace sim
+
 namespace {
 
 using transport::TcpSocket;
@@ -42,6 +59,36 @@ TEST(ContractDeathTest, RunUntilThePastAborts) {
   sim.run_until(sim::Time::seconds(2.0));
   EXPECT_DEATH(sim.run_until(sim::Time::seconds(1.0)),
                "mcs contract violation");
+}
+
+TEST(ContractDeathTest, RetimeIntoThePastAborts) {
+  sim::Simulator sim;
+  const sim::EventId id = sim.at(sim::Time::seconds(2.0), [] {});
+  sim.run_until(sim::Time::seconds(1.0));
+  EXPECT_DEATH(sim.retime(id, sim::Time::millis(500)),
+               "cannot move into the past");
+}
+
+TEST(ContractDeathTest, ScheduleCountPastTheHeapNodeLimitAborts) {
+  using sim::SimulatorTestPeer;
+  EXPECT_EQ(SimulatorTestPeer::max_schedules(), 1ull << 40);
+  sim::Simulator sim;
+  SimulatorTestPeer::set_next_seq(sim, SimulatorTestPeer::max_schedules() - 1);
+  const sim::EventId last = sim.at(sim::Time::millis(1), [] {});
+  EXPECT_NE(last, sim::kInvalidEventId);  // sequence 2^40 - 1 still fits
+  EXPECT_DEATH(sim.at(sim::Time::millis(2), [] {}), "2\\^40 events scheduled");
+  EXPECT_DEATH(sim.retime(last, sim::Time::millis(2)),
+               "2\\^40 events scheduled");
+}
+
+TEST(ContractDeathTest, PendingSlotPastTheHeapNodeLimitAborts) {
+  using sim::SimulatorTestPeer;
+  EXPECT_EQ(SimulatorTestPeer::max_slots(), 1u << 24);
+  const std::uint32_t last = SimulatorTestPeer::max_slots() - 1;
+  EXPECT_EQ(SimulatorTestPeer::pack(5, last) & last, last);
+  EXPECT_EQ(SimulatorTestPeer::pack(5, last) >> 24, 5u);
+  EXPECT_DEATH(SimulatorTestPeer::pack(0, last + 1),
+               "2\\^24 events pending at once");
 }
 
 TEST(ContractDeathTest, InvalidTcpTransitionAborts) {

@@ -466,5 +466,80 @@ TEST(DatabaseTest, AutoCommitHelpers) {
   EXPECT_EQ(db.committed_txns(), 3u);
 }
 
+// The autocommit helpers keep no undo log and take no lock, but must log
+// and count exactly what a one-op Transaction does: same txn ids, same WAL
+// op bytes, COMMIT after each success, nothing for a failure, which counts
+// as an abort -- including a write to a table an open transaction holds.
+TEST(DatabaseTest, AutoCommitLogsLikeAOneOpTransaction) {
+  auto auto_ptr = make_shop();
+  auto txn_ptr = make_shop();
+  Database& by_auto = *auto_ptr;
+  Database& by_txn = *txn_ptr;
+  const auto one_op = [&](auto&& op) {
+    auto txn = by_txn.begin();
+    return op(*txn) && txn->commit();
+  };
+  const auto both = [&](bool ok_auto, bool ok_txn) {
+    EXPECT_EQ(ok_auto, ok_txn);
+  };
+  const Row a{std::int64_t{1}, std::string{"A b|c"}, 1.5, std::int64_t{3}};
+  const Row b{std::int64_t{2}, std::string{"B"}, 2.0, std::int64_t{4}};
+  const Value one{std::int64_t{1}};
+  const Value two{std::int64_t{2}};
+  const Value seven{std::int64_t{7}};
+  both(by_auto.insert("products", a),
+       one_op([&](Transaction& t) { return t.insert("products", a); }));
+  both(by_auto.insert("products", b),
+       one_op([&](Transaction& t) { return t.insert("products", b); }));
+  both(by_auto.insert("products", a),  // duplicate key
+       one_op([&](Transaction& t) { return t.insert("products", a); }));
+  both(by_auto.update("products", one, 2, Value{9.25}),
+       one_op([&](Transaction& t) {
+         return t.update("products", one, 2, Value{9.25});
+       }));
+  both(by_auto.update("products", one, 0, seven),  // key change
+       one_op([&](Transaction& t) {
+         return t.update("products", one, 0, seven);
+       }));
+  both(by_auto.update("products", one, 3, two),  // key gone
+       one_op([&](Transaction& t) {
+         return t.update("products", one, 3, two);
+       }));
+  both(by_auto.erase("products", two),
+       one_op([&](Transaction& t) { return t.erase("products", two); }));
+  both(by_auto.erase("products", two),
+       one_op([&](Transaction& t) { return t.erase("products", two); }));
+  both(by_auto.insert("nope", b),
+       one_op([&](Transaction& t) { return t.insert("nope", b); }));
+  {
+    // An open transaction holds the table's lock: autocommit fails.
+    auto hold_auto = by_auto.begin();
+    auto hold_txn = by_txn.begin();
+    ASSERT_TRUE(hold_auto->erase("products", seven));
+    ASSERT_TRUE(hold_txn->erase("products", seven));
+    both(by_auto.insert("products", b),
+         one_op([&](Transaction& t) { return t.insert("products", b); }));
+    hold_auto->commit();
+    hold_txn->commit();
+  }
+
+  EXPECT_EQ(by_auto.committed_txns(), by_txn.committed_txns());
+  EXPECT_EQ(by_auto.aborted_txns(), by_txn.aborted_txns());
+  EXPECT_EQ(by_auto.committed_txns(), 6u);
+  EXPECT_EQ(by_auto.aborted_txns(), 5u);
+  const auto log = [](Database& db) {
+    std::vector<std::string> out;
+    for (const WalRecord* r = db.wal().head();
+         r != nullptr; r = r->next) {
+      out.push_back(std::to_string(r->txn) + " " + std::string{r->op});
+    }
+    return out;
+  };
+  EXPECT_EQ(log(by_auto), log(by_txn));
+  EXPECT_EQ(by_auto.wal().bytes(), by_txn.wal().bytes());
+  EXPECT_EQ(log(by_auto).front(), "1 INS products 1|A b|c|1.5|3");
+  EXPECT_EQ(by_auto.table("products")->size(), 0u);
+}
+
 }  // namespace
 }  // namespace mcs::host::db

@@ -133,5 +133,84 @@ TEST(SimulatorTest, ZeroDelayEventRunsAtSameTime) {
   EXPECT_EQ(seen, Time::millis(5));
 }
 
+TEST(SimulatorTest, RetimeMovesAPendingEventAndKeepsItsCallback) {
+  Simulator sim;
+  std::vector<int> order;
+  const EventId a = sim.at(Time::millis(30), [&] { order.push_back(1); });
+  sim.at(Time::millis(20), [&] { order.push_back(2); });
+  const EventId moved = sim.retime(a, Time::millis(10));
+  ASSERT_NE(moved, kInvalidEventId);
+  EXPECT_NE(moved, a);
+  EXPECT_EQ(sim.pending(), 2u);
+  // The replaced id is stale: it neither cancels nor moves the event.
+  sim.cancel(a);
+  EXPECT_EQ(sim.retime(a, Time::millis(40)), kInvalidEventId);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sim.now(), Time::millis(20));
+}
+
+TEST(SimulatorTest, RetimeTakesTheNextSequenceNumber) {
+  // Moving an event to the time it already has still sends it behind every
+  // event scheduled at that time since: a retime is a cancel plus a new
+  // schedule, not a change of key in place.
+  Simulator sim;
+  std::vector<int> order;
+  const EventId a = sim.at(Time::millis(5), [&] { order.push_back(1); });
+  sim.at(Time::millis(5), [&] { order.push_back(2); });
+  ASSERT_NE(sim.retime(a, Time::millis(5)), kInvalidEventId);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+}
+
+TEST(SimulatorTest, RetimeOfFiredOrCancelledEventChangesNothing) {
+  Simulator sim;
+  int runs = 0;
+  const EventId fired = sim.at(Time::millis(1), [&] { ++runs; });
+  const EventId cancelled = sim.at(Time::millis(2), [&] { ++runs; });
+  sim.cancel(cancelled);
+  sim.run_until(Time::millis(3));
+  EXPECT_EQ(sim.retime(fired, Time::millis(4)), kInvalidEventId);
+  EXPECT_EQ(sim.retime(cancelled, Time::millis(4)), kInvalidEventId);
+  EXPECT_EQ(sim.retime(kInvalidEventId, Time::millis(4)), kInvalidEventId);
+  EXPECT_EQ(sim.pending(), 0u);
+  sim.run();
+  EXPECT_EQ(runs, 1);
+}
+
+TEST(SimulatorTest, RetimeSchedulesExactlyLikeCancelThenAt) {
+  // Two kernels run the same script; one re-arms a timer by cancel + at,
+  // the other by retime. Ids, execution order and trace hash must agree.
+  Simulator by_cancel;
+  Simulator by_retime;
+  EventId timer_c = kInvalidEventId;
+  EventId timer_r = kInvalidEventId;
+  int fired_c = 0;
+  int fired_r = 0;
+  for (int i = 0; i < 50; ++i) {
+    const Time t = Time::micros(10 * i);
+    by_cancel.at(t, [] {});
+    by_retime.at(t, [] {});
+    const Time due = t + Time::micros(60 - i % 7 * 9);  // earlier or later
+    if (timer_c == kInvalidEventId) {
+      timer_c = by_cancel.at(due, [&] { ++fired_c; });
+      timer_r = by_retime.at(due, [&] { ++fired_r; });
+    } else {
+      by_cancel.cancel(timer_c);
+      timer_c = by_cancel.at(due, [&] { ++fired_c; });
+      timer_r = by_retime.retime(timer_r, due);
+    }
+    EXPECT_EQ(timer_c, timer_r) << i;
+    by_cancel.run_until(t);
+    by_retime.run_until(t);
+  }
+  by_cancel.run();
+  by_retime.run();
+  EXPECT_EQ(fired_c, 1);
+  EXPECT_EQ(fired_r, 1);
+  EXPECT_EQ(by_cancel.executed(), by_retime.executed());
+  EXPECT_EQ(by_cancel.trace_hash(), by_retime.trace_hash());
+}
+
 }  // namespace
 }  // namespace mcs::sim
