@@ -1,14 +1,14 @@
 // Figure 2: the six-component mobile commerce system structure. This bench
-// measures an end-to-end MC transaction and attributes latency to the
-// paper's components -- mobile station (parse/render CPU), mobile middleware
-// (gateway translation), wireless network (air serialization), wired network
-// + host computers (the EC part) -- and compares against the Figure 1
-// baseline on identical content.
+// measures an end-to-end MC transaction and splits its latency across the
+// paper's components -- application programs, mobile station, mobile
+// middleware, wireless network, wired network and host computers -- and
+// compares against the Figure 1 baseline on identical content.
 
-// Besides the analytic table, main() runs a *measured* Figure 2: a traced
-// closed-loop workload (obs/trace.h) where every component opens spans, and
-// the per-bucket self-time breakdown is what the spans actually recorded --
-// no modelled formulas. Output: $MCS_BENCH_FIG2_OUT or
+// Every latency split here is the tracer's (obs/trace.h): each nanosecond of
+// a request goes to the innermost span open at that instant, so the
+// components plus "unattributed" add up to the request's latency. The first
+// table splits one traced page load per system. main() then runs a traced
+// closed-loop workload per scenario. Output: $MCS_BENCH_FIG2_OUT or
 // ./BENCH_fig2_breakdown.json (committed; byte-identical across reruns at
 // the same seed), plus an optional Perfetto trace of the first scenario to
 // $MCS_TRACE_OUT for chrome://tracing.
@@ -25,9 +25,10 @@ namespace {
 using namespace mcs;
 
 bench::TablePrinter g_breakdown{
-    "Figure 2 -- MC system: per-component latency breakdown (one page load)",
-    {"system", "radio", "total ms", "station ms", "middleware ms", "air ms",
-     "wired+host ms", "air bytes"}};
+    "Figure 2 -- MC system: per-component latency split (one page load)",
+    {"system", "radio", "total ms", "application ms", "station ms",
+     "middleware ms", "wireless ms", "wired ms", "host ms", "unattributed ms",
+     "air bytes"}};
 
 bench::TablePrinter g_scale{
     "Figure 2 -- MC system: throughput vs number of mobile stations",
@@ -43,6 +44,44 @@ const char* kPage =
     "<a href=\"/shop/catalog\">See all</a>"
     "</body></html>";
 
+// Appends total, the six components and unattributed, in ms, to `row`.
+std::vector<std::string> split_cells(std::vector<std::string> row,
+                                     const obs::Tracer::Breakdown& b) {
+  row.push_back(bench::fmt("%.2f", b.total_us / 1e3));
+  for (const double us : b.bucket_us) {
+    row.push_back(bench::fmt("%.2f", us / 1e3));
+  }
+  row.push_back(bench::fmt("%.2f", b.unattributed_us / 1e3));
+  return row;
+}
+
+// One page load under a traced request root, added to g_breakdown as the
+// tracer's split of it.
+void traced_page_row(sim::Simulator& sim, core::ClientDriver& client,
+                     const std::string& url, const char* system,
+                     const char* radio, benchmark::State& state) {
+  obs::Tracer tracer;
+  obs::Install install{tracer};
+  std::optional<core::FetchResult> got;
+  const obs::TraceContext root =
+      obs::start_trace(obs::Component::kClient, "request", sim.now());
+  {
+    obs::ActiveScope scope{root};
+    client.fetch(url, [&](core::FetchResult r) {
+      obs::end_span(root, sim.now());
+      got = std::move(r);
+    });
+  }
+  sim.run();
+  if (!got.has_value() || !got->ok) return;
+
+  const obs::Tracer::Breakdown b = tracer.breakdown();
+  state.counters["total_ms"] = b.total_us / 1e3;
+  std::vector<std::string> row = split_cells({system, radio}, b);
+  row.push_back(std::to_string(got->over_air_bytes));
+  g_breakdown.add_row(row);
+}
+
 void BM_McBreakdown(benchmark::State& state) {
   const bool imode = state.range(0) == 1;
   const bool cellular = state.range(1) == 1;
@@ -54,35 +93,9 @@ void BM_McBreakdown(benchmark::State& state) {
     cfg.phy = cellular ? wireless::gprs() : wireless::wifi_802_11b();
     core::McSystem sys{sim, cfg};
     sys.web_server().add_content("/page", "text/html", kPage);
-
-    std::optional<station::MicroBrowser::PageResult> got;
-    sys.mobile(0).browser->browse(sys.web_url("/page"),
-                                  [&](auto r) { got = r; });
-    sim.run();
-    if (!got.has_value() || !got->ok) continue;
-
-    const double total = got->total_time.to_millis();
-    const double station_ms =
-        (got->parse_time + got->render_time).to_millis();
-    const double middleware_ms =
-        imode ? middleware::kIModeTranslationDelay.to_millis()
-              : middleware::kWapTranslationDelay.to_millis();
-    // Air time: what the radio spent serializing this page's frames.
-    const double air_ms =
-        8.0 * static_cast<double>(got->over_air_bytes) /
-        cfg.phy.effective_rate_bps() * 1e3;
-    const double wired_host_ms =
-        std::max(0.0, total - station_ms - middleware_ms - air_ms);
-
-    state.counters["total_ms"] = total;
-    g_breakdown.add_row({imode ? "MC/i-mode" : "MC/WAP",
-                         cfg.phy.name,
-                         bench::fmt("%.1f", total),
-                         bench::fmt("%.2f", station_ms),
-                         bench::fmt("%.1f", middleware_ms),
-                         bench::fmt("%.1f", air_ms),
-                         bench::fmt("%.1f", wired_host_ms),
-                         std::to_string(got->over_air_bytes)});
+    traced_page_row(sim, *sys.mobile(0).driver, sys.web_url("/page"),
+                    imode ? "MC/i-mode" : "MC/WAP", cfg.phy.name.c_str(),
+                    state);
   }
 }
 BENCHMARK(BM_McBreakdown)
@@ -95,16 +108,8 @@ void BM_EcBaselinePage(benchmark::State& state) {
     sim::Simulator sim;
     core::EcSystem sys{sim};
     sys.web_server().add_content("/page", "text/html", kPage);
-    std::optional<core::FetchResult> got;
-    sys.client(0).driver->fetch(sys.web_url("/page"),
-                                [&](core::FetchResult r) { got = r; });
-    sim.run();
-    if (!got.has_value() || !got->ok) continue;
-    state.counters["total_ms"] = got->latency.to_millis();
-    g_breakdown.add_row({"EC baseline", "(wired)",
-                         bench::fmt("%.1f", got->latency.to_millis()), "-",
-                         "-", "-",
-                         bench::fmt("%.1f", got->latency.to_millis()), "0"});
+    traced_page_row(sim, *sys.client(0).driver, sys.web_url("/page"),
+                    "EC baseline", "(wired)", state);
   }
 }
 BENCHMARK(BM_EcBaselinePage)->Iterations(1)->Unit(benchmark::kMillisecond);
@@ -166,8 +171,7 @@ struct TracedCell {
   std::string chrome_json;  // first scenario only (for $MCS_TRACE_OUT)
 };
 
-// One traced closed-loop run; every span the components opened is folded
-// into the per-bucket self-time breakdown.
+// One traced closed-loop run, split by the tracer's breakdown().
 TracedCell run_traced_cell(const TraceScenario& sc, std::uint64_t seed,
                            bool keep_chrome_trace) {
   obs::TracerConfig tcfg;
@@ -206,13 +210,6 @@ void write_breakdown_json(const std::vector<TracedCell>& cells,
                           std::uint64_t seed, const std::string& path) {
   auto put_buckets = [](sim::JsonWriter& w,
                         const obs::Tracer::Breakdown& b) {
-    const double attributed_us =
-        b.unattributed_us +
-        [&b] {
-          double s = 0.0;
-          for (const double v : b.bucket_us) s += v;
-          return s;
-        }();
     w.key("traces").value(static_cast<std::int64_t>(b.traces));
     w.key("spans").value(static_cast<std::int64_t>(b.spans));
     w.key("total_ms").value(b.total_us / 1e3);
@@ -222,16 +219,16 @@ void write_breakdown_json(const std::vector<TracedCell>& cells,
       w.key(obs::bucket_name(i)).value(b.bucket_us[i] / 1e3);
     }
     w.end_object();
-    // Share of all span self time (think/driver time included, so the six
-    // shares plus `unattributed` sum to 1).
+    // Share of the summed request latency (the six shares plus
+    // `unattributed` sum to 1).
+    const auto share = [&b](double us) {
+      return b.total_us > 0.0 ? us / b.total_us : 0.0;
+    };
     w.key("share").begin_object();
     for (std::size_t i = 0; i < obs::kBucketCount; ++i) {
-      w.key(obs::bucket_name(i))
-          .value(attributed_us > 0.0 ? b.bucket_us[i] / attributed_us : 0.0);
+      w.key(obs::bucket_name(i)).value(share(b.bucket_us[i]));
     }
-    w.key("unattributed")
-        .value(attributed_us > 0.0 ? b.unattributed_us / attributed_us
-                                   : 0.0);
+    w.key("unattributed").value(share(b.unattributed_us));
     w.end_object();
   };
 
@@ -286,25 +283,20 @@ void run_trace_breakdown() {
   };
 
   bench::TablePrinter table{
-      "Figure 2 -- MC system: measured per-component self time "
+      "Figure 2 -- MC system: measured per-component latency "
       "(traced workload)",
-      {"system", "radio", "traces", "application ms", "station ms",
-       "middleware ms", "wireless ms", "wired ms", "host ms"}};
+      {"system", "radio", "traces", "total ms", "application ms",
+       "station ms", "middleware ms", "wireless ms", "wired ms", "host ms",
+       "unattributed ms"}};
 
   std::vector<TracedCell> cells;
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     cells.push_back(
         run_traced_cell(scenarios[i], kSeed + i, /*keep_chrome_trace=*/i == 0));
-    const obs::Tracer::Breakdown& b = cells.back().breakdown;
-    table.add_row({cells.back().scenario.system,
-                   cells.back().scenario.phy.name,
-                   std::to_string(b.traces),
-                   bench::fmt("%.1f", b.bucket_us[0] / 1e3),
-                   bench::fmt("%.1f", b.bucket_us[1] / 1e3),
-                   bench::fmt("%.1f", b.bucket_us[2] / 1e3),
-                   bench::fmt("%.1f", b.bucket_us[3] / 1e3),
-                   bench::fmt("%.1f", b.bucket_us[4] / 1e3),
-                   bench::fmt("%.1f", b.bucket_us[5] / 1e3)});
+    const TracedCell& c = cells.back();
+    table.add_row(split_cells({c.scenario.system, c.scenario.phy.name,
+                               std::to_string(c.breakdown.traces)},
+                              c.breakdown));
   }
   table.print();
 

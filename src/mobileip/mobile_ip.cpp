@@ -403,7 +403,9 @@ void MobileIpClient::send_registration() {
 }
 
 void MobileIpClient::arm_retry() {
-  if (retry_timer_ != sim::kInvalidEventId) mobile_.sim().cancel(retry_timer_);
+  MCS_ASSERT(retry_timer_ == sim::kInvalidEventId,
+             "registration retry armed twice: attach() cancels the timer, "
+             "its callback and a reply clear it");
   retry_timer_ = mobile_.sim().after(kRegistrationRetryInterval, [this] {
     retry_timer_ = sim::kInvalidEventId;
     if (registered_) return;

@@ -21,10 +21,10 @@ void attach_kernel_profiler(FlightRecorder& rec, const sim::Simulator& sim,
   if (tracer == nullptr) return;
   for (std::size_t b = 0; b < kBucketCount; ++b) {
     rec.add_series(sim::strf("profile.self.%s_us", bucket_name(b)),
-                   [tracer, b] { return tracer->live_bucket_self_us(b); });
+                   [tracer, b] { return tracer->breakdown().bucket_us[b]; });
   }
   rec.add_series("profile.self.unattributed_us",
-                 [tracer] { return tracer->live_unattributed_self_us(); });
+                 [tracer] { return tracer->breakdown().unattributed_us; });
 }
 
 }  // namespace mcs::obs

@@ -6,8 +6,8 @@
 // the kernel can jump before the next event (its "event-loop lag" — a long
 // lookahead means an idle kernel, a zero lookahead means a saturated one),
 // how many bytes the heap + slot arrays have grown to, and — when a tracer
-// is supplied — where self time is accumulating per Figure-2 bucket, so a
-// scheduling stall is attributable to the component causing it.
+// is supplied — where request latency is accumulating per Figure-2 bucket,
+// so a scheduling stall is attributable to the component causing it.
 //
 // attach() only registers series on the recorder; sampling rides the
 // recorder's own deterministic sim-time tick, so profiling a run cannot
@@ -30,8 +30,9 @@ class Tracer;
 //   kernel.lookahead_us     next_time() - now(): 0 while saturated
 //   kernel.footprint_bytes  heap + slot arrays reserved bytes
 // and, with a tracer, one "profile.self.<bucket>_us" series per Figure-2
-// bucket plus "profile.self.unattributed_us" from the tracer's live
-// self-time accumulators. `sim` and `tracer` must outlive the recorder.
+// bucket plus "profile.self.unattributed_us": the tracer's breakdown() so
+// far, which sums to the latency of the requests closed by then. `sim` and
+// `tracer` must outlive the recorder.
 void attach_kernel_profiler(FlightRecorder& rec, const sim::Simulator& sim,
                             const Tracer* tracer = nullptr);
 

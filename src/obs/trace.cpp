@@ -123,42 +123,68 @@ void Tracer::end_span(TraceContext ctx, sim::Time now) {
   MCS_ASSERT(now >= s->start, "span ended before it started");
   s->end = now;
   s->open = false;
-  // Live self-time: this span's full duration lands in its bucket; the part
-  // of it the parent did not spend itself comes back out of the parent's
-  // bucket. Sim time is monotonic, so a parent still open here will close
-  // at or after `now` and the overlap is the whole duration; a parent that
-  // already closed clamps the overlap to its own interval — the same
-  // arithmetic breakdown() does in batch.
-  const double dur = (s->end - s->start).to_micros();
-  live_bucket_add(s->component, dur);
-  if (s->parent != 0) {
-    const Span& p = spans_[s->parent - 1];
-    double overlap = dur;
-    if (!p.open) {
-      const sim::Time lo = std::max(p.start, s->start);
-      const sim::Time hi = std::min(p.end, s->end);
-      overlap = hi > lo ? (hi - lo).to_micros() : 0.0;
+  if (s->parent == 0) attribute(*s);
+}
+
+void Tracer::attribute(const Span& root) {
+  // A trace's spans are minted after its root, so they all sit at or after
+  // the root in spans_, and each parent before its children.
+  const std::size_t first = root.id - 1;
+  depth_.assign(spans_.size() - first, 0);
+  intervals_.clear();
+  for (std::size_t i = first; i < spans_.size(); ++i) {
+    const Span& s = spans_[i];
+    if (s.trace_id != root.trace_id) continue;
+    const std::uint32_t depth =
+        s.parent == 0 ? 0 : depth_[s.parent - root.id] + 1;
+    depth_[i - first] = depth;
+    if (s.open) continue;
+    const std::int64_t lo = std::max(s.start, root.start).ns();
+    const std::int64_t hi = std::min(s.end, root.end).ns();
+    if (hi <= lo) continue;
+    intervals_.push_back({lo, hi, s.start.ns(), depth, s.id,
+                          kBucketOf[static_cast<std::size_t>(s.component)]});
+  }
+  std::sort(intervals_.begin(), intervals_.end(),
+            [](const Interval& x, const Interval& y) { return x.lo < y.lo; });
+
+  // Sweep: the innermost active interval owns time until the next interval
+  // opens or it closes itself. Intervals that closed under it are dropped
+  // when they surface. The root spans the sweep, so the heap never empties
+  // before root.end. outer(x, y): y is innermost of the two.
+  const auto outer = [this](std::uint32_t x, std::uint32_t y) {
+    const Interval& a = intervals_[x];
+    const Interval& b = intervals_[y];
+    if (a.depth != b.depth) return a.depth < b.depth;
+    if (a.start != b.start) return a.start < b.start;
+    return a.id > b.id;
+  };
+  std::array<std::int64_t, kBucketCount + 1> ns{};  // [kBucketCount]: none
+  active_.clear();
+  std::size_t next = 0;
+  for (std::int64_t t = root.start.ns(); t < root.end.ns();) {
+    for (; next < intervals_.size() && intervals_[next].lo <= t; ++next) {
+      active_.push_back(static_cast<std::uint32_t>(next));
+      std::push_heap(active_.begin(), active_.end(), outer);
     }
-    live_bucket_add(p.component, -overlap);
+    while (intervals_[active_.front()].hi <= t) {
+      std::pop_heap(active_.begin(), active_.end(), outer);
+      active_.pop_back();
+    }
+    const Interval& top = intervals_[active_.front()];
+    const std::int64_t until =
+        next < intervals_.size() ? std::min(top.hi, intervals_[next].lo)
+                                 : top.hi;
+    ns[top.bucket < 0 ? kBucketCount : static_cast<std::size_t>(top.bucket)] +=
+        until - t;
+    t = until;
   }
-}
 
-void Tracer::live_bucket_add(Component c, double us) {
-  const int bucket = kBucketOf[static_cast<std::size_t>(c)];
-  if (bucket < 0) {
-    live_unattributed_us_ += us;
-  } else {
-    live_bucket_us_[static_cast<std::size_t>(bucket)] += us;
+  attributed_.total_us += (root.end - root.start).to_micros();
+  attributed_.unattributed_us += static_cast<double>(ns[kBucketCount]) / 1e3;
+  for (std::size_t b = 0; b < kBucketCount; ++b) {
+    attributed_.bucket_us[b] += static_cast<double>(ns[b]) / 1e3;
   }
-}
-
-double Tracer::live_bucket_self_us(std::size_t bucket) const {
-  MCS_ASSERT(bucket < kBucketCount, "bucket index out of range");
-  return std::max(0.0, live_bucket_us_[bucket]);
-}
-
-double Tracer::live_unattributed_self_us() const {
-  return std::max(0.0, live_unattributed_us_);
 }
 
 void Tracer::add_instant(TraceContext ctx, Component c, const char* name,
@@ -187,44 +213,14 @@ void Tracer::clear() {
   traces_started_ = 0;
   traces_sampled_ = 0;
   dropped_spans_ = 0;
-  live_bucket_us_.fill(0.0);
-  live_unattributed_us_ = 0.0;
-}
-
-template <typename F>
-void Tracer::for_each_self_time(F&& f) const {
-  // covered[i]: time inside span i+1 spent in direct closed children.
-  std::vector<double> covered(spans_.size(), 0.0);
-  for (const Span& s : spans_) {
-    if (s.open || s.parent == 0) continue;
-    const Span& p = spans_[s.parent - 1];
-    if (p.open) continue;
-    const sim::Time lo = std::max(p.start, s.start);
-    const sim::Time hi = std::min(p.end, s.end);
-    if (hi > lo) covered[s.parent - 1] += (hi - lo).to_micros();
-  }
-  for (std::size_t i = 0; i < spans_.size(); ++i) {
-    const Span& s = spans_[i];
-    if (s.open) continue;
-    const double dur = (s.end - s.start).to_micros();
-    f(s, dur, std::max(0.0, dur - covered[i]));
-  }
+  attributed_ = {};
 }
 
 Tracer::Breakdown Tracer::breakdown() const {
-  Breakdown b;
+  Breakdown b = attributed_;
   b.traces = traces_sampled_;
   b.spans = spans_.size();
   b.instants = instants_.size();
-  for_each_self_time([&b](const Span& s, double dur, double self) {
-    const int bucket = kBucketOf[static_cast<std::size_t>(s.component)];
-    if (bucket < 0) {
-      b.unattributed_us += self;
-    } else {
-      b.bucket_us[static_cast<std::size_t>(bucket)] += self;
-    }
-    if (s.parent == 0) b.total_us += dur;
-  });
   return b;
 }
 
@@ -305,24 +301,24 @@ void Tracer::export_stats(sim::StatsRegistry& reg) const {
   reg.counter("open_spans").add(open_spans());
   reg.counter("dropped_spans").add(dropped_spans_);
 
-  std::array<sim::Histogram*, kBucketCount> self;
+  const Breakdown b = breakdown();
   for (std::size_t i = 0; i < kBucketCount; ++i) {
-    self[i] = &reg.histogram(sim::strf("self_us_%s", kBucketNames[i]));
+    reg.gauge(sim::strf("breakdown_us_%s", kBucketNames[i]))
+        .set(b.bucket_us[i]);
     reg.counter(sim::strf("spans_%s", kBucketNames[i]));  // ensure the key
   }
-  sim::Histogram& self_unattributed = reg.histogram("self_us_unattributed");
-  sim::Histogram& root_ms = reg.histogram("root_latency_ms");
+  reg.gauge("breakdown_us_unattributed").set(b.unattributed_us);
+  reg.gauge("breakdown_us_total").set(b.total_us);
 
-  for_each_self_time([&](const Span& s, double /*dur*/, double self_us) {
+  sim::Histogram& root_ms = reg.histogram("root_latency_ms");
+  for (const Span& s : spans_) {
+    if (s.open) continue;
     const int bucket = kBucketOf[static_cast<std::size_t>(s.component)];
-    if (bucket < 0) {
-      self_unattributed.record(self_us);
-    } else {
-      self[static_cast<std::size_t>(bucket)]->record(self_us);
+    if (bucket >= 0) {
       reg.counter(sim::strf("spans_%s", kBucketNames[bucket])).add();
     }
     if (s.parent == 0) root_ms.record((s.end - s.start).to_millis());
-  });
+  }
 }
 
 void export_kernel_stats(const sim::Simulator& sim, sim::StatsSnapshot& snap,

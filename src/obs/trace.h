@@ -127,29 +127,22 @@ class Tracer {
   const std::vector<InstantEvent>& instants() const { return instants_; }
   std::size_t open_spans() const;
 
-  // Per-component latency attribution. A span's self time is its duration
-  // minus the part of it covered by direct children (overlap-clamped, so a
-  // child that outlives its parent never subtracts time the parent did not
-  // spend). Open spans are excluded.
+  // Per-component latency, accumulated as each root span closes: every
+  // nanosecond of the root's lifetime goes to the innermost closed span of
+  // its trace active then. Innermost: greatest depth, then later start,
+  // then, among spans opened at one instant, the lower id (DESIGN.md §10).
+  // Spans are clipped to the root; one still open at its close counts for
+  // nothing. So sum(bucket_us) + unattributed_us == total_us: exactly per
+  // trace in ns, to double rounding in the sums. O(1) to read.
   struct Breakdown {
-    std::uint64_t traces = 0;
+    std::uint64_t traces = 0;       // traces sampled
     std::uint64_t spans = 0;
     std::uint64_t instants = 0;
     double total_us = 0.0;          // summed closed root-span durations
-    double unattributed_us = 0.0;   // root (kClient) self time
+    double unattributed_us = 0.0;   // time whose innermost span is kClient
     std::array<double, kBucketCount> bucket_us{};  // bucket_name() order
   };
   Breakdown breakdown() const;
-
-  // Incrementally-maintained per-bucket self time over *closed* spans:
-  // end_span adds the span's duration to its component's bucket and
-  // subtracts the parent-overlap from the parent's bucket, so reading this
-  // is O(1) — cheap enough for the flight recorder to sample every tick.
-  // Matches breakdown() exactly once a trace's spans are all closed; while
-  // a parent is still open its bucket temporarily runs low (its own
-  // duration is not yet added), so reads clamp at zero.
-  double live_bucket_self_us(std::size_t bucket) const;
-  double live_unattributed_self_us() const;
 
   // Chrome trace-event JSON ("X" complete spans, "i" instants, one tid row
   // per component), loadable in chrome://tracing or ui.perfetto.dev.
@@ -161,7 +154,8 @@ class Tracer {
   std::string chrome_trace_json(bool pretty = false,
                                 const FlightRecorder* counters = nullptr) const;
 
-  // Fold counts, per-bucket self-time histograms and the root-latency
+  // Fold counts, the breakdown() totals (gauges "breakdown_us_<bucket>",
+  // "breakdown_us_unattributed", "breakdown_us_total") and the root-latency
   // histogram into `reg` under "trace"-less plain keys; callers namespace
   // via StatsSnapshot::add.
   void export_stats(sim::StatsRegistry& reg) const;
@@ -170,12 +164,9 @@ class Tracer {
 
  private:
   Span* find(TraceContext ctx);
-  // Calls f(span, duration_us, self_us) for every closed span, in span
-  // order: the one self-time pass behind breakdown() and export_stats().
-  template <typename F>
-  void for_each_self_time(F&& f) const;
-
-  void live_bucket_add(Component c, double us);
+  // Splits a just-closed root's lifetime across its trace's spans (the rule
+  // at breakdown()) and adds the result to attributed_.
+  void attribute(const Span& root);
 
   TracerConfig cfg_;
   sim::Rng rng_;
@@ -184,9 +175,18 @@ class Tracer {
   std::uint64_t traces_started_ = 0;
   std::uint64_t traces_sampled_ = 0;
   std::uint64_t dropped_spans_ = 0;
-  // Running self-time accumulators behind live_bucket_self_us(); see there.
-  std::array<double, kBucketCount> live_bucket_us_{};
-  double live_unattributed_us_ = 0.0;
+  Breakdown attributed_;  // totals only; breakdown() fills in the counts
+  // attribute()'s scratch, reused from root to root.
+  struct Interval {
+    std::int64_t lo = 0, hi = 0;  // clipped to the root, in ns
+    std::int64_t start = 0;       // unclipped, for the tie-break
+    std::uint32_t depth = 0;
+    std::uint32_t id = 0;
+    int bucket = -1;
+  };
+  std::vector<Interval> intervals_;
+  std::vector<std::uint32_t> depth_;   // by span id - root id
+  std::vector<std::uint32_t> active_;  // heap of intervals_ indices
 };
 
 // Event-kernel instrumentation riding the same snapshot pipeline: event

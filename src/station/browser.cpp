@@ -34,15 +34,19 @@ void MicroBrowser::browse(const std::string& url, PageCallback cb) {
 
   // Browse span: child of the driver's request when one is active, else its
   // own trace root (a directly driven browser still yields a span tree).
+  const obs::TraceContext caller = obs::active_context();
   const obs::TraceContext page =
-      obs::active_context().sampled()
+      caller.sampled()
           ? obs::begin_span(obs::Component::kStation, "browse", started)
           : obs::start_trace(obs::Component::kStation, "browse", started);
-  PageCallback done = [this, page, started,
+  // The page callback runs in the caller's context, so a page it chains
+  // (a second fetch of the same request) joins the caller's trace.
+  PageCallback done = [this, caller, page, started,
                        cb = std::move(cb)](PageResult r) mutable {
     obs::end_span(page, station_.sim().now());
     obs::metric_record(m_page_us_,
                        (station_.sim().now() - started).to_micros());
+    obs::ActiveScope scope{caller};
     cb(std::move(r));
   };
 

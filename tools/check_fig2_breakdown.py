@@ -3,18 +3,20 @@
 
 Validates a bench/fig2_mc_system trace-mode JSON (the committed
 BENCH_fig2_breakdown.json, or a fresh CI run) against the paper's claim
-structure: the traced workload must attribute *nonzero* self time to every
+structure: the traced workload must attribute *nonzero* latency to every
 one of the six Figure 2 components — application programs, mobile station,
 mobile middleware, wireless network, wired network, host computers. A zero
 bucket means a component stopped opening spans (instrumentation rot), which
 is exactly the failure this gate exists to catch; it is not a performance
-gate, so no tolerances.
+gate, so no tolerances beyond floating-point rounding.
 
 Checks:
   * schema: bench == "fig2_breakdown", scenarios + aggregate present;
   * every aggregate component bucket > 0 with a > --min-share share;
   * every scenario covers both middlewares and both radios across the set,
-    each with traces > 0 and total_ms > 0.
+    each with traces > 0 and total_ms > 0;
+  * the split adds up: per scenario and in aggregate, the six components
+    plus unattributed_ms equal total_ms to a relative error of 1e-9.
 
 Usage:
   check_fig2_breakdown.py BENCH_fig2_breakdown.json [--min-share 1e-6]
@@ -32,6 +34,17 @@ from bench_gate import load_bench_json
 
 COMPONENTS = ("application", "station", "middleware", "wireless", "wired",
               "host")
+
+SUM_REL_ERROR = 1e-9
+
+
+def split_gap(section: dict) -> float:
+    """Relative gap between the split's sum and total_ms (0 when exact)."""
+    comps = section.get("components_ms", {})
+    parts = sum(comps.get(name, 0.0) for name in COMPONENTS)
+    parts += section.get("unattributed_ms", 0.0)
+    total = section.get("total_ms", 0.0)
+    return abs(parts - total) / max(abs(total), 1e-300)
 
 
 def fail(msg: str, code: int = 1) -> int:
@@ -68,14 +81,25 @@ def main() -> int:
         if s.get("total_ms", 0.0) <= 0.0:
             return fail(f"scenario {label} measured no root latency")
 
-    # The core claim: every paper component accrued measured self time.
+    # The split adds up: components + unattributed == total, everywhere.
+    sections = [(f"scenario {s.get('system')}/{s.get('radio')}", s)
+                for s in scenarios]
+    sections.append(("aggregate", aggregate))
+    for label, section in sections:
+        gap = split_gap(section)
+        if gap > SUM_REL_ERROR:
+            return fail(f"{label}: components + unattributed_ms miss "
+                        f"total_ms by a relative {gap:.3g} "
+                        f"(> {SUM_REL_ERROR:g})")
+
+    # The core claim: every paper component accrued measured latency.
     comps = aggregate.get("components_ms", {})
     shares = aggregate.get("share", {})
     for name in COMPONENTS:
         ms = comps.get(name, 0.0)
         share = shares.get(name, 0.0)
         if ms <= 0.0:
-            return fail(f"component '{name}' has zero measured self time")
+            return fail(f"component '{name}' has zero measured latency")
         if share < args.min_share:
             return fail(f"component '{name}' share {share:g} below "
                         f"{args.min_share:g}")

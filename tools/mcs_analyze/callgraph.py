@@ -104,11 +104,20 @@ class CallGraph:
                 hit = word  # last class name wins: unique_ptr<ThreadPool>
         return hit
 
-    def _receiver_class(self, fm, fn, recv_name):
+    def _receiver_class(self, fm, fn, recv_name, at=None):
         """Resolve a receiver variable name to a project class name, through
-        locals then the enclosing class's members. Type text may be a smart
-        pointer / reference wrapper; any known class name inside it wins."""
-        ty = fn.locals.get(recv_name)
+        locals then the enclosing class's members. Used at token `at`, a
+        local takes the type of its last declaration before it, so a name
+        reused in sibling blocks (`auto txn = ...` in one, `Transaction*
+        txn` in the next) resolves per use; without `at`, its first
+        declaration's. Type text may be a smart pointer / reference
+        wrapper; any known class name inside it wins."""
+        ty = None
+        for idx, decl_ty in fn.local_decls.get(recv_name, ()):
+            if at is not None and idx < at:
+                ty = decl_ty
+        if ty is None:
+            ty = fn.locals.get(recv_name)
         if ty is None and fn.cls_name:
             ci = self.project.class_index.get(fn.cls_name)
             if ci is not None:
@@ -146,7 +155,7 @@ class CallGraph:
         if head == "this":
             cls = fn.cls_name
         else:
-            cls = self._receiver_class(fm, fn, head)
+            cls = self._receiver_class(fm, fn, head, i)
         for name in names[1:]:
             if cls is None:
                 return None

@@ -65,8 +65,9 @@ def collect_files(roots) -> list:
 # Bump when the structural model or internal frontend changes shape, so a
 # stale cache from an older tool version is ignored rather than mis-decoded.
 # v2: arena-escape annotations on the model records; v3: entries keyed on a
-# digest of the file's bytes instead of (mtime_ns, size).
-MODEL_CACHE_VERSION = 3
+# digest of the file's bytes instead of (mtime_ns, size); v4: every local
+# declaration with its position (FunctionDef.local_decls).
+MODEL_CACHE_VERSION = 4
 
 
 def _load_model_cache(path: Path) -> dict:

@@ -1,6 +1,6 @@
 // call-graph round-trip fixture, header half: class split across
-// header/impl, a virtual method with an override, and free functions
-// forming a recursion cycle.
+// header/impl, a virtual method with an override, free functions forming a
+// recursion cycle, and two classes sharing a method name.
 #pragma once
 
 class Widget {
@@ -17,3 +17,17 @@ class Button : public Widget {
 
 int free_ping(int n);
 int free_pong(int n);
+
+class Journal {
+ public:
+  bool insert(int v);
+  int size();
+};
+
+class Shelf {
+ public:
+  bool insert(int v);
+};
+
+Journal* open_journal();
+int replay(int n);

@@ -689,7 +689,9 @@ class _Parser:
     def _scan_body(self, fn: FunctionDef):
         toks = self.toks
         start, end = fn.body
-        fn.locals.update(_parse_locals(toks, start + 1, end))
+        for idx, nm, tt in _parse_locals(toks, start + 1, end):
+            fn.locals.setdefault(nm, tt)
+            fn.local_decls.setdefault(nm, []).append((idx, tt))
         for tt, nm in fn.params:
             if nm:
                 fn.locals.setdefault(nm, tt)
@@ -912,9 +914,9 @@ _LOCAL_HEAD_BAN = KEYWORDS | frozenset(
 
 def _parse_locals(toks, start, end):
     """Best-effort local variable declarations inside a body:
-    `Type name ( = | { | ; )` at statement starts. Misses plenty; never
-    guesses."""
-    out = {}
+    `Type name ( = | { | ; )` at statement starts, as [(name token index,
+    name, type text)] in body order. Misses plenty; never guesses."""
+    out = []
     i = start
     stmt_start = True
     while i < end:
@@ -990,6 +992,6 @@ def _parse_locals(toks, start, end):
             # require the type to actually look like a type
             if any(tt.kind == "id" and tt.text not in TYPE_QUALIFIERS
                    for tt in type_toks[:-1]):
-                out.setdefault(name_tok.text, ty)
+                out.append((j - 1, name_tok.text, ty))
         i = j if j > i else i + 1
     return out

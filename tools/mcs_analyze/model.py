@@ -90,7 +90,9 @@ class FunctionDef:
     externally_serialized: bool = False
     arena_stable: bool = False  # MCS_ARENA_STABLE on the definition
     params: list = field(default_factory=list)  # [(type_text, name)]
-    locals: dict = field(default_factory=dict)  # name -> type_text
+    locals: dict = field(default_factory=dict)  # name -> first type_text
+    # name -> [(name token index, type_text)], every declaration in order
+    local_decls: dict = field(default_factory=dict)
 
 
 @dataclass

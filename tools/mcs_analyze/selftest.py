@@ -63,8 +63,9 @@ def run(root: Path):
 
 def check_callgraph(failures):
     """Round-trip fixtures/callgraph/: a class split across header/impl, a
-    virtual override dispatched through a base pointer, and a free-function
-    recursion cycle must all survive model -> call graph -> queries."""
+    virtual override dispatched through a base pointer, a free-function
+    recursion cycle and a local redeclared with a new type must all survive
+    model -> call graph -> queries."""
     files = cli.collect_files([FIXTURES / "callgraph"])
     project, _ = cli.build_project(files, "internal", None)
     cg = project.callgraph()
@@ -104,6 +105,15 @@ def check_callgraph(failures):
             or "free_ping" not in callees("free_pong"):
         failures.append("callgraph: free_ping <-> free_pong cycle edges "
                         "missing")
+
+    # a receiver takes the type of its nearest preceding declaration, not
+    # the first one: `auto j` in an earlier block must not turn the later
+    # `Journal* j` into an unresolved receiver (which would fall back to
+    # every method named insert).
+    inserts = {c for c in callees("replay") if c.endswith("::insert")}
+    if inserts != {"Journal::insert"}:
+        failures.append("callgraph: j->insert in replay should resolve to "
+                        f"Journal::insert alone, got {sorted(inserts)}")
 
     # reachability walks the whole chain (and terminates despite the cycle).
     entries = [f for f in cg.functions_named("Widget", "render")
